@@ -1,10 +1,10 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
 Every benchmark regenerates one table or figure of the paper's Section 6
-(see DESIGN.md's experiment index).  Because the paper's full protocol
-(100 repetitions, 1 % CI / 10 % RE targets, a 2x Xeon server) does not
-fit a laptop budget, benchmarks run a *scaled* protocol by default and
-the full one when requested:
+(the ``bench_fig*`` / ``bench_table*`` file names say which).  Because
+the paper's full protocol (100 repetitions, 1 % CI / 10 % RE targets, a
+2x Xeon server) does not fit a laptop budget, benchmarks run a *scaled*
+protocol by default and the full one when requested:
 
 * ``REPRO_BENCH_SCALE`` (float, default 1.0) — multiplies repetition
   counts and budgets; ``REPRO_FULL=1`` selects paper-scale settings.
@@ -109,7 +109,8 @@ def write_report(name: str, title: str, lines) -> str:
     """Write (and print) an experiment report; returns the text."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     header = [title, "=" * len(title),
-              f"(scale={'FULL' if FULL else SCALE}; see EXPERIMENTS.md)"]
+              f"(scale={'FULL' if FULL else SCALE}; "
+              f"see benchmarks/bench_common.py)"]
     text = "\n".join(header + [""] + list(lines)) + "\n"
     (RESULTS_DIR / f"{name}.txt").write_text(text)
     print("\n" + text)

@@ -1,6 +1,6 @@
 """Ablations beyond the paper's figures.
 
-Three design-choice checks DESIGN.md calls out:
+Three design-choice checks:
 
 1. **IS/CE comparator** (Section 2.2): on a Gaussian-step model where
    importance sampling *is* applicable, CE-tuned IS and MLSS both beat

@@ -82,8 +82,7 @@ from .core import (ConfidenceIntervalTarget, DurabilityCurve,
                    NeverTarget, RelativeErrorTarget, SMLSSSampler,
                    SRSSampler, ThresholdValueFunction,
                    adaptive_greedy_partition, answer_durability_query,
-                   balanced_growth_partition, cross_entropy_tilt,
-                   run_parallel_mlss)
+                   balanced_growth_partition, cross_entropy_tilt)
 from .engine import DurabilityEngine, ExecutionPolicy, PlanCache
 
 __version__ = "1.2.0"
@@ -97,5 +96,5 @@ __all__ = [
     "RelativeErrorTarget", "SMLSSSampler", "SRSSampler",
     "ThresholdValueFunction", "adaptive_greedy_partition",
     "answer_durability_query", "balanced_growth_partition",
-    "cross_entropy_tilt", "run_parallel_mlss", "__version__",
+    "cross_entropy_tilt", "__version__",
 ]

@@ -8,7 +8,7 @@ from .analytic import (hitting_probability, hitting_probability_grid,
 from .balanced import balanced_growth_partition, pilot_max_values
 from .bootstrap import (BootstrapResult, bootstrap_curve_variances,
                         bootstrap_variance)
-from .engine import answer_durability_query, resolve_partition
+from .engine import answer_durability_query
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .fleet import (FleetThresholdValue, screen_fleet,
                     screen_fleet_curves, screen_fleet_mlss)
@@ -22,7 +22,6 @@ from .greedy import GreedyResult, adaptive_greedy_partition
 from .importance import ISSampler, cross_entropy_tilt
 from .levels import LevelPartition, normalize_ratios, uniform_partition
 from .optimizer import PlanTrial, evaluate_partition, pool_trials
-from .parallel import run_parallel_mlss
 from .pool import PooledForestRunner, WorkerPool, derive_task_seed
 from .quality import (ConfidenceIntervalTarget, NeverTarget, QualityTarget,
                       RelativeErrorTarget)
@@ -63,9 +62,9 @@ __all__ = [
     "hitting_time_distribution",
     "make_forest_runner", "normalize_ratios",
     "optimal_num_levels", "pilot_max_values", "pool_trials",
-    "prepare_curve_grid", "resolve_partition", "validate_plan",
+    "prepare_curve_grid", "validate_plan",
     "random_walk_hitting_curve",
-    "random_walk_hitting_probability", "run_parallel_mlss",
+    "random_walk_hitting_probability",
     "screen_fleet", "screen_fleet_curves", "screen_fleet_mlss",
     "smlss_point_estimate", "smlss_prefix_estimates", "smlss_variance",
     "srs_relative_error",

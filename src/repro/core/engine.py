@@ -1,35 +1,12 @@
-"""One-shot query answering: the thin wrapper over the engine service.
+"""One-shot query answering: one call to a fresh engine.
 
-``answer_durability_query`` is the original single-call entry point and
-is kept for compatibility and convenience; since the introduction of
-:class:`repro.engine.DurabilityEngine` it simply packs its arguments
-into an :class:`repro.engine.ExecutionPolicy` and runs a fresh engine
-for one call.  Long-running or multi-query callers should hold a
-:class:`~repro.engine.DurabilityEngine` instead: it memoizes level
-plans across calls, groups compatible queries into shared simulation
-cohorts (``answer_batch``) and answers whole threshold grids in one
-pass (``durability_curve``).
-
-Methods:
-
-* ``"srs"``   — the baseline sampler;
-* ``"smlss"`` — simple MLSS (only sound without level skipping);
-* ``"gmlss"`` — general MLSS (default; always unbiased);
-* ``"auto"``  — g-MLSS with the partition found by the adaptive greedy
-  search (Algorithm 1) when no plan is supplied.
-
-When a partition is supplied it is pruned so every boundary exceeds the
-initial state's value (a requirement of the splitting bookkeeping).
-
-Orthogonally to the method, ``backend`` selects how the simulation
-itself runs: ``"auto"`` (default) uses the NumPy batch backend whenever
-the process implements :class:`repro.processes.base.VectorizedProcess`
-and the scalar per-path loop otherwise; ``"vectorized"`` forces
-batching (falling back to a ``ScalarFallback`` wrapper for scalar-only
-processes) and ``"scalar"`` forces the original loop.  The resolved
-backend drives the sampler *and* the pilot runs of the plan search, and
-changes only the order of independent random draws — never the
-distribution of the estimate.
+:func:`answer_durability_query` packs its arguments into an
+:class:`~repro.engine.ExecutionPolicy` and answers through a new
+:class:`~repro.engine.DurabilityEngine`.  Long-running or multi-query
+callers should hold an engine instead: it memoizes level plans across
+calls, groups compatible queries into shared simulation cohorts
+(``answer_batch``) and answers whole threshold grids in one pass
+(``durability_curve``).
 """
 
 from __future__ import annotations
@@ -37,36 +14,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.service import DurabilityEngine, resolve_plan
+from ..engine.service import DurabilityEngine
 from .estimates import DurabilityEstimate
 from .levels import LevelPartition
 from .quality import QualityTarget
 from .value_functions import DurabilityQuery
-
-METHODS = ("srs", "smlss", "gmlss", "auto")
-
-
-def resolve_partition(query: DurabilityQuery,
-                      partition: Optional[LevelPartition],
-                      num_levels: Optional[int],
-                      ratio, trial_steps: int,
-                      seed: Optional[int],
-                      backend: str = "scalar",
-                      pool=None):
-    """Choose the level plan: explicit > balanced pilot > greedy search.
-
-    Returns ``(partition, search_details_or_None)``.  The cache-less
-    view of :func:`repro.engine.service.resolve_plan` (the single
-    source of truth for plan precedence); the engine service adds plan
-    caching on top (:meth:`repro.engine.DurabilityEngine.answer`).
-    ``pool`` shards the search's trials and pilots over a
-    :class:`~repro.core.pool.WorkerPool` without changing the chosen
-    plan.
-    """
-    plan, search_details, _, _ = resolve_plan(
-        query, partition, num_levels, ratio, trial_steps, seed,
-        backend=backend, plan_cache=None, pool=pool)
-    return plan, search_details
 
 
 def answer_durability_query(
@@ -83,40 +35,18 @@ def answer_durability_query(
         record_trace: bool = False,
         backend: str = "auto",
         sampler_options: Optional[dict] = None) -> DurabilityEstimate:
-    """Answer ``Q(q, s)`` with the requested method and stopping rule.
+    """Answer ``Q(q, s)`` with a fresh engine and no plan cache.
 
-    Parameters
-    ----------
-    query:
-        The durability prediction query.
-    method:
-        One of ``"srs"``, ``"smlss"``, ``"gmlss"``, ``"auto"``.
-    partition / num_levels:
-        Either an explicit level plan, or a level count for an
-        automatically tuned balanced-growth plan; with neither, the
-        greedy search picks the plan (``"auto"`` and MLSS methods).
-    ratio:
-        Splitting ratio ``r`` (paper default 3).
-    quality / max_steps / max_roots:
-        Stopping rule: quality target and/or simulation budgets; at
-        least one must be given (a ``ValueError`` is raised *before*
-        any plan search otherwise).
-    trial_steps:
-        Per-trial budget of the greedy search (when it runs).
-    backend:
-        Simulation backend: ``"auto"`` (default; vectorized when the
-        process supports batching, scalar otherwise), ``"vectorized"``,
-        or ``"scalar"``.  Applies to the sampler and to plan-search
-        pilot runs alike.
-    sampler_options:
-        Extra keyword arguments for the chosen sampler's constructor.
+    The arguments are the :class:`~repro.engine.ExecutionPolicy`
+    fields of the same names (``method`` is ``"srs"``, ``"smlss"``,
+    ``"gmlss"`` or ``"auto"``; at least one of ``quality``,
+    ``max_steps`` and ``max_roots`` must be given), plus an explicit
+    level plan ``partition``, which is pruned so every boundary exceeds
+    the initial state's value.
     """
     policy = ExecutionPolicy(
         method=method, backend=backend, ratio=ratio, num_levels=num_levels,
         trial_steps=trial_steps, quality=quality, max_steps=max_steps,
         max_roots=max_roots, seed=seed, record_trace=record_trace,
-        # One-shot calls build a fresh engine, so its cache could never
-        # hit; skip the lookups (and keep details identical to before).
-        use_plan_cache=False,
-        sampler_options=sampler_options)
+        use_plan_cache=False, sampler_options=sampler_options)
     return DurabilityEngine(policy).answer(query, partition=partition)

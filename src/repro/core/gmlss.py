@@ -242,11 +242,6 @@ class GMLSSSampler:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
         over its workers in fixed-size tasks (results are invariant
         under the worker count; see :mod:`repro.core.pool`).
-    streamed:
-        With a pool, pipeline rounds (speculative next-round
-        submission, byte-identical results; see
-        :class:`~repro.core.pool.RoundPipeline`).  ``False`` restores
-        the per-round barrier.
     """
 
     method_name = "gmlss"
@@ -256,8 +251,7 @@ class GMLSSSampler:
                  first_check_roots: int = 200, check_growth: float = 1.5,
                  record_trace: bool = False, backend: str = "scalar",
                  pool=None, roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None,
-                 streamed: bool = True):
+                 tasks_per_round: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         if bootstrap_rounds < 2:
@@ -279,7 +273,6 @@ class GMLSSSampler:
         self.pool = pool
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
-        self.streamed = streamed
 
     def _make_runner(self, query: DurabilityQuery, seed,
                      scalar_rng=None):
@@ -287,8 +280,7 @@ class GMLSSSampler:
             self.backend, query, self.partition, self.ratios, seed,
             scalar_rng=scalar_rng, pool=self.pool,
             roots_per_task=self.roots_per_task,
-            tasks_per_round=self.tasks_per_round,
-            streamed=self.streamed)
+            tasks_per_round=self.tasks_per_round)
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,

@@ -3,11 +3,10 @@ scaled to every backend).
 
 Root trees, SRS paths, fleet members and plan-search trials are all
 independent, so every sampler in the library parallelizes by *sharding
-work over workers*.  The original ``run_parallel_mlss`` did this with a
-throwaway ``multiprocessing.Pool`` of scalar ``ForestRunner`` shards:
-every call paid process startup, every shard pickled its closure, and
-none of the vectorized / fused wins reached a second core.  This module
-replaces that with a persistent execution layer:
+work over workers*.  A throwaway ``multiprocessing.Pool`` of scalar
+``ForestRunner`` shards would pay process startup on every call, pickle
+every shard's closure, and keep the vectorized / fused wins off every
+second core.  This module is a persistent execution layer instead:
 
 * :class:`WorkerPool` — long-lived workers.  ``"fork"`` / ``"spawn"``
   start worker *processes*; ``"thread"`` starts worker *threads* that
@@ -25,21 +24,12 @@ replaces that with a persistent execution layer:
   them with ``multiprocessing.shared_memory`` (counter matrices cross
   the process boundary as shared bytes, never as pickles); thread and
   inline modes use plain local buffers with the identical layout.
-* :class:`_TaskStream` / :meth:`WorkerPool.stream` — the pipelined
-  submission path.  ``submit`` is non-blocking and ``collect`` returns
-  results in submission order, so callers can keep a bounded window of
-  tasks in flight: workers that finish a round's tasks early pick up
-  the next round's tasks while the parent still waits on stragglers,
-  instead of idling at a per-round barrier.  :meth:`WorkerPool.
-  run_tasks` (submit everything, collect everything) is a thin wrapper
-  over a stream.
-* :class:`RoundPipeline` — one-round-lookahead speculation on top of a
-  stream for round-structured callers (the pooled samplers): while
-  round *k*'s stragglers drain, round *k+1*'s *predicted* tasks are
-  already queued; if the stopping rule ends the run first, the
-  speculative results are discarded unread.  Because tasks are pure
-  and results merge in task order, speculation changes wall-clock
-  only, never results.
+* :class:`_TaskStream` / :meth:`WorkerPool.stream` — task submission.
+  ``submit`` is non-blocking and ``collect`` returns results in
+  submission order, so a caller can consume results while later tasks
+  still run (fused fleet passes stream member slices this way).
+  :meth:`WorkerPool.run_tasks` (submit everything, collect everything)
+  is the per-round barrier every pooled sampler round goes through.
 * :class:`PooledForestRunner` — a drop-in implementation of the
   ``accumulate`` contract shared by :class:`~repro.core.forest.
   ForestRunner` and :class:`~repro.core.forest.VectorizedForestRunner`,
@@ -53,9 +43,9 @@ Work decomposes into tasks of a fixed size (``roots_per_task`` roots,
 ``members_per_task`` fleet members) whose seeds derive from the *task
 index* via :func:`derive_task_seed` — never from the worker count or
 which worker ran them.  Task results merge in task order.  Consequently
-pooled results are **byte-identical across ``n_workers``, pool modes
-and the streamed/barrier scheduling paths** for a fixed seed:
-``n_workers`` changes how fast the answer arrives, not what it is.
+pooled results are **byte-identical across ``n_workers`` and pool
+modes** for a fixed seed: ``n_workers`` changes how fast the answer
+arrives, not what it is.
 (Pooled and single-pass sequential runs draw different stream layouts,
 so they agree in distribution, not bytes — exactly like the
 scalar-vs-vectorized backends.)
@@ -67,9 +57,7 @@ Budgets
 tasks are trimmed against the remaining budget and each task carries a
 per-task step cap that its worker enforces by never starting a root
 tree whose worst-case cost no longer fits (see
-:func:`_worst_case_root_cost`).  Strictness costs pipelining — a
-round's caps depend on the previous round's measured spend, so
-speculation is disabled under ``max_steps``.
+:func:`_worst_case_root_cost`).
 
 Cost accounting is unchanged throughout: workers count one invocation
 of ``g`` per path per step and the parent sums their counters.
@@ -586,7 +574,7 @@ def _worker_main(worker_id: int, task_queue, result_channel) -> None:
 
 
 # ----------------------------------------------------------------------
-# Streams: the pipelined submission path
+# Streams: ordered task submission
 # ----------------------------------------------------------------------
 
 class _TaskStream:
@@ -599,21 +587,15 @@ class _TaskStream:
     every in-flight task carries a pool-unique id, so results are
     routed to their owning stream whatever order workers finish in
     (this is also what makes concurrent ``run_tasks`` calls from
-    several threads safe).  ``discard`` drops a submitted task's result
-    (cancelling it outright if it has not been dispatched yet) — the
-    primitive behind speculative round submission.
+    several threads safe).  ``close`` cancels undispatched tasks and
+    drops the results of tasks still running.
 
     On the inline pool, submitted tasks execute lazily inside
-    ``collect``, so discarded speculative tasks cost nothing.
-
-    The in-flight window is bounded by the caller: each worker holds at
-    most one outstanding task, and the pooled samplers submit at most
-    one round ahead, so at most ``2 * tasks_per_round`` tasks are ever
-    pending or running per stream.
+    ``collect``.  Each worker holds at most one outstanding task.
     """
 
     __slots__ = ("pool", "handle", "_next_seq", "_pending", "_live",
-                 "_results", "_discarded", "_retries", "_closed")
+                 "_results", "_retries", "_closed")
 
     def __init__(self, pool: "WorkerPool", handle: int):
         self.pool = pool
@@ -622,7 +604,6 @@ class _TaskStream:
         self._pending: dict = {}    # seq -> payload, not yet dispatched
         self._live: set = set()     # seqs running on a worker
         self._results: dict = {}    # seq -> finalized result
-        self._discarded: set = set()  # live seqs to drop on arrival
         self._retries: dict = {}    # seq -> prior submission count
         self._closed = False
 
@@ -654,8 +635,7 @@ class _TaskStream:
                 if pool._closed:
                     raise RuntimeError("the pool is closed")
                 if seq not in self._pending and seq not in self._live:
-                    raise KeyError(
-                        f"task {seq} was never submitted or was discarded")
+                    raise KeyError(f"task {seq} was never submitted")
                 if pool.mode == "inline":
                     payload = self._pending.pop(seq)
                     spec = pool._specs[self.handle]
@@ -664,17 +644,6 @@ class _TaskStream:
                     return pool._finalize(spec, block, meta)
                 pool._pump()
                 pool._route_one()
-
-    def discard(self, seq: int) -> None:
-        """Drop task ``seq``'s result (cancel it if not yet dispatched)."""
-        pool = self.pool
-        with pool._lock:
-            self._results.pop(seq, None)
-            if seq in self._pending:
-                # Never dispatched: the dispatch queue skips it lazily.
-                del self._pending[seq]
-            elif seq in self._live:
-                self._discarded.add(seq)
 
     def close(self) -> None:
         """Cancel pending tasks and drop any in-flight results."""
@@ -686,60 +655,6 @@ class _TaskStream:
             self._pending.clear()
             self._results.clear()
             self._retries.clear()
-            self._discarded.update(self._live)
-
-
-class RoundPipeline:
-    """One-round-lookahead speculation over a :class:`_TaskStream`.
-
-    Round-structured callers (the pooled samplers) call
-    :meth:`run_round` with the round's tasks plus an optional
-    *prediction* of the next round's tasks.  Predicted tasks are
-    submitted before the current round's results are collected, so
-    workers that finish early start on the next round while the parent
-    still waits on stragglers.  When the next round's actual tasks
-    match the prediction (the common case — predictions are exact
-    whenever the round schedule doesn't depend on unmeasured results),
-    their results are simply collected; on any mismatch — or when the
-    caller stops — the speculative results are discarded unread, so
-    speculation can change wall-clock time but never results.
-    """
-
-    def __init__(self, pool: "WorkerPool", handle: int):
-        self._stream = pool.stream(handle)
-        self._speculated: deque = deque()  # (seq, payload) in task order
-
-    def run_round(self, tasks: Sequence, predicted: Optional[Sequence] = None
-                  ) -> list:
-        """Run one round's tasks; results in task order.
-
-        ``predicted`` — the next round's expected tasks, submitted
-        speculatively before this round's results are collected.
-        """
-        stream = self._stream
-        seqs = []
-        for payload in tasks:
-            if self._speculated and self._speculated[0][1] == payload:
-                seqs.append(self._speculated.popleft()[0])
-            else:
-                self.flush()
-                seqs.append(stream.submit(payload))
-        # Anything speculated beyond this round's actual tasks was a
-        # misprediction; drop it before speculating afresh.
-        self.flush()
-        for payload in (predicted or ()):
-            self._speculated.append((stream.submit(payload), payload))
-        return [stream.collect(seq) for seq in seqs]
-
-    def flush(self) -> None:
-        """Discard every outstanding speculative task."""
-        while self._speculated:
-            seq, _ = self._speculated.popleft()
-            self._stream.discard(seq)
-
-    def close(self) -> None:
-        self.flush()
-        self._stream.close()
 
 
 class _InflightTask:
@@ -1093,10 +1008,11 @@ class WorkerPool:
         """Drop a registered work and free its shared blocks.
 
         Thread-mode blocks are shared objects the worker may still be
-        writing (a discarded in-flight task): the parent only drops its
-        references and lets the worker release on its own unregister
-        message; process-mode segments are unlinked immediately (the
-        worker's mapping stays valid until it closes it).
+        writing (a task still running when its stream closed): the
+        parent only drops its references and lets the worker release on
+        its own unregister message; process-mode segments are unlinked
+        immediately (the worker's mapping stays valid until it closes
+        it).
         """
         with self._lock:
             if self._closed or handle not in self._specs:
@@ -1171,8 +1087,8 @@ class WorkerPool:
 
         The worker's counter block is read (finalized) *before* the
         worker is marked idle, so a block is never overwritten while
-        unread; results for discarded or closed streams are dropped
-        without touching the block (it may already be unregistered).
+        unread; results for closed streams are dropped without touching
+        the block (it may already be unregistered).
         """
         worker_id, task_id, status, meta = self._receive()
         record = self._inflight.pop(task_id, None)
@@ -1187,10 +1103,7 @@ class WorkerPool:
         stream, seq = record.stream, record.seq
         stream._live.discard(seq)
         spec = self._specs.get(stream.handle)
-        dropped = (stream._closed or seq in stream._discarded
-                   or spec is None)
-        stream._discarded.discard(seq)
-        if not dropped:
+        if not stream._closed and spec is not None:
             attached = self._blocks.get((stream.handle, worker_id))
             block = attached[1] if attached is not None else None
             stream._results[seq] = self._finalize(spec, block, meta)
@@ -1289,8 +1202,7 @@ class WorkerPool:
                 record = self._inflight.pop(task_id)
                 stream, seq = record.stream, record.seq
                 stream._live.discard(seq)
-                if stream._closed or seq in stream._discarded:
-                    stream._discarded.discard(seq)
+                if stream._closed:
                     continue  # nobody wants the result; don't re-run
                 if record.retries + 1 > self.task_retry_limit:
                     self._abort(
@@ -1409,16 +1321,8 @@ class PooledForestRunner:
     ``tasks_per_round`` tasks of ``roots_per_task`` root trees; task
     seeds derive from the task index (:func:`derive_task_seed`) and
     results merge in task order, making pooled aggregates invariant
-    under the worker count.
-
-    With ``streamed`` (the default), rounds run through a
-    :class:`RoundPipeline`: the next round's predicted tasks are
-    submitted while the current round's stragglers drain, and
-    mispredicted or post-stop results are discarded unread — so the
-    streamed and barrier paths return byte-identical aggregates.
-    Prediction needs the round schedule to be computable ahead of the
-    current round's results, which holds for quality-target and
-    ``max_roots`` stopping but not under a ``max_steps`` budget.
+    under the worker count.  Each round is one
+    :meth:`WorkerPool.run_tasks` barrier.
 
     ``max_steps`` is *strict*: the final round is trimmed against the
     remaining budget (from the measured cost per root) and every task
@@ -1433,8 +1337,7 @@ class PooledForestRunner:
     def __init__(self, pool: WorkerPool, query, partition, ratios,
                  backend: str, seed: Optional[int],
                  roots_per_task: int = DEFAULT_ROOTS_PER_TASK,
-                 tasks_per_round: int = DEFAULT_TASKS_PER_ROUND,
-                 streamed: bool = True):
+                 tasks_per_round: int = DEFAULT_TASKS_PER_ROUND):
         if roots_per_task < 1:
             raise ValueError(
                 f"roots_per_task must be >= 1, got {roots_per_task}")
@@ -1449,20 +1352,15 @@ class PooledForestRunner:
         self.seed = seed
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
-        self.streamed = streamed
         self._task_index = 0
-        self._rounds: Optional[RoundPipeline] = None
         self._handle = pool.register(ForestWork(
             query=query, partition=partition, ratios=self.ratios,
             backend=backend, capacity=roots_per_task))
 
-    def _base_cohort(self, batch_roots: int) -> int:
-        return max(batch_roots, self.roots_per_task * self.tasks_per_round)
-
     def accumulate(self, aggregate, batch_roots: int,
                    max_steps=None, max_roots=None) -> bool:
         """Fold one pooled round of root trees into ``aggregate``."""
-        cohort = self._base_cohort(batch_roots)
+        cohort = max(batch_roots, self.roots_per_task * self.tasks_per_round)
         if max_roots is not None:
             cohort = min(cohort, max_roots - aggregate.n_roots)
         step_budget = None
@@ -1484,23 +1382,8 @@ class PooledForestRunner:
         tasks, self._task_index = cut_tasks(
             cohort, self.roots_per_task, self.seed, self._task_index,
             step_budget)
-        predicted = None
-        if self.streamed and step_budget is None:
-            ahead = self._base_cohort(batch_roots)
-            if max_roots is not None:
-                ahead = min(ahead,
-                            max_roots - (aggregate.n_roots + cohort))
-            if ahead > 0:
-                predicted, _ = cut_tasks(ahead, self.roots_per_task,
-                                         self.seed, self._task_index)
         roots_before = aggregate.n_roots
-        if self.streamed:
-            if self._rounds is None:
-                self._rounds = RoundPipeline(self.pool, self._handle)
-            results = self._rounds.run_round(tasks, predicted)
-        else:
-            results = self.pool.run_tasks(self._handle, tasks)
-        for arrays in results:
+        for arrays in self.pool.run_tasks(self._handle, tasks):
             aggregate.extend_arrays(*arrays)
         if step_budget is not None and aggregate.n_roots == roots_before:
             # The remaining budget cannot afford a single worst-case
@@ -1512,7 +1395,4 @@ class PooledForestRunner:
 
     def close(self) -> None:
         """Release this work's registration and shared blocks."""
-        if self._rounds is not None:
-            self._rounds.close()
-            self._rounds = None
         self.pool.unregister(self._handle)

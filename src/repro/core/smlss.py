@@ -43,8 +43,7 @@ def make_forest_runner(backend: str, query: DurabilityQuery,
                        scalar_rng: Optional[random.Random] = None,
                        pool=None,
                        roots_per_task: Optional[int] = None,
-                       tasks_per_round: Optional[int] = None,
-                       streamed: bool = True):
+                       tasks_per_round: Optional[int] = None):
     """Build the forest runner for a resolved backend.
 
     ``"vectorized"`` drives whole cohorts through
@@ -55,11 +54,10 @@ def make_forest_runner(backend: str, query: DurabilityQuery,
     results stay bit-identical to the pre-backend code).  With a
     :class:`~repro.core.pool.WorkerPool`, cohorts shard over the pool's
     workers instead (:class:`~repro.core.pool.PooledForestRunner`, on
-    the same backend per worker; ``streamed`` selects its pipelined
-    round scheduling).  All runners expose the same ``accumulate``
-    interface, so samplers are backend- and parallelism-agnostic past
-    this point; pooled runners additionally expose ``close()``, which
-    samplers call when a run finishes.
+    the same backend per worker).  All runners expose the same
+    ``accumulate`` interface, so samplers are backend- and
+    parallelism-agnostic past this point; pooled runners additionally
+    expose ``close()``, which samplers call when a run finishes.
     """
     backend = resolve_backend(backend, query.process)
     if pool is not None:
@@ -68,8 +66,7 @@ def make_forest_runner(backend: str, query: DurabilityQuery,
         return PooledForestRunner(
             pool, query, partition, ratios, backend, seed,
             roots_per_task=roots_per_task or DEFAULT_ROOTS_PER_TASK,
-            tasks_per_round=tasks_per_round or DEFAULT_TASKS_PER_ROUND,
-            streamed=streamed)
+            tasks_per_round=tasks_per_round or DEFAULT_TASKS_PER_ROUND)
     if backend == "vectorized":
         return VectorizedForestRunner(query, partition, ratios,
                                       np.random.default_rng(seed))
@@ -177,11 +174,6 @@ class SMLSSSampler:
         With a :class:`~repro.core.pool.WorkerPool`, root trees shard
         over its workers in fixed-size tasks (results are invariant
         under the worker count; see :mod:`repro.core.pool`).
-    streamed:
-        With a pool, pipeline rounds (speculative next-round
-        submission, byte-identical results; see
-        :class:`~repro.core.pool.RoundPipeline`).  ``False`` restores
-        the per-round barrier.
     """
 
     method_name = "smlss"
@@ -190,8 +182,7 @@ class SMLSSSampler:
                  batch_roots: int = 100, record_trace: bool = False,
                  backend: str = "scalar", pool=None,
                  roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None,
-                 streamed: bool = True):
+                 tasks_per_round: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         self.partition = partition
@@ -202,7 +193,6 @@ class SMLSSSampler:
         self.pool = pool
         self.roots_per_task = roots_per_task
         self.tasks_per_round = tasks_per_round
-        self.streamed = streamed
 
     def _make_runner(self, query: DurabilityQuery, seed: Optional[int],
                      scalar_rng: Optional[random.Random] = None):
@@ -210,8 +200,7 @@ class SMLSSSampler:
             self.backend, query, self.partition, self.ratios, seed,
             scalar_rng=scalar_rng, pool=self.pool,
             roots_per_task=self.roots_per_task,
-            tasks_per_round=self.tasks_per_round,
-            streamed=self.streamed)
+            tasks_per_round=self.tasks_per_round)
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,

@@ -45,8 +45,7 @@ import numpy as np
 from ..processes.base import as_vectorized, resolve_backend, step_into
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .pool import (CurveWork, DEFAULT_ROOTS_PER_TASK,
-                   DEFAULT_TASKS_PER_ROUND, PathWork, RoundPipeline,
-                   cut_tasks)
+                   DEFAULT_TASKS_PER_ROUND, PathWork, cut_tasks)
 from .quality import QualityTarget
 from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
 
@@ -158,13 +157,6 @@ class SRSSampler:
         count (see :mod:`repro.core.pool`).  Each stopping-rule round
         covers at least ``tasks_per_round`` tasks of
         ``roots_per_task`` paths.
-    streamed:
-        With a pool, pipeline rounds through a
-        :class:`~repro.core.pool.RoundPipeline`: the next round's tasks
-        are submitted speculatively while the current round's
-        stragglers drain, and discarded unread if the stopping rule
-        ends the run first — byte-identical results, better worker
-        utilization.  ``False`` restores the per-round barrier.
     """
 
     method_name = "srs"
@@ -172,8 +164,7 @@ class SRSSampler:
     def __init__(self, batch_roots: int = 500, record_trace: bool = False,
                  backend: str = "scalar", pool=None,
                  roots_per_task: Optional[int] = None,
-                 tasks_per_round: Optional[int] = None,
-                 streamed: bool = True):
+                 tasks_per_round: Optional[int] = None):
         if batch_roots < 1:
             raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
         self.batch_roots = batch_roots
@@ -182,7 +173,6 @@ class SRSSampler:
         self.pool = pool
         self.roots_per_task = roots_per_task or DEFAULT_ROOTS_PER_TASK
         self.tasks_per_round = tasks_per_round or DEFAULT_TASKS_PER_ROUND
-        self.streamed = streamed
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,
@@ -443,18 +433,15 @@ class SRSSampler:
                     seed: Optional[int]) -> DurabilityEstimate:
         """Paths shard over the worker pool in fixed-size tasks.
 
-        Rounds run quality checks between merges; with ``streamed``
-        the next round's tasks are already in flight while this round's
-        stragglers drain (see :class:`~repro.core.pool.RoundPipeline`).
-        Task seeds come from :func:`~repro.core.pool.derive_task_seed`
-        and results merge in task order, so the estimate is
-        byte-identical for any ``n_workers`` and for both scheduling
-        paths.
+        Each round is one :meth:`~repro.core.pool.WorkerPool.run_tasks`
+        barrier followed by a quality check.  Task seeds come from
+        :func:`~repro.core.pool.derive_task_seed` and results merge in
+        task order, so the estimate is byte-identical for any
+        ``n_workers``.
         """
         pool = self.pool
         backend = resolve_backend(self.backend, query.process)
         handle = pool.register(PathWork(query=query, backend=backend))
-        rounds = RoundPipeline(pool, handle) if self.streamed else None
         horizon = query.horizon
         n_paths = 0
         hits = 0
@@ -470,21 +457,8 @@ class SRSSampler:
                     break
                 tasks, task_index = cut_tasks(cohort, self.roots_per_task,
                                               seed, task_index)
-                predicted = None
-                if rounds is not None and max_steps is None:
-                    # Under max_steps the next round depends on this
-                    # round's measured spend, so there is nothing
-                    # sound to speculate.
-                    ahead = self._round_cohort(n_paths + cohort, steps,
-                                               horizon, None, max_roots)
-                    if ahead > 0:
-                        predicted, _ = cut_tasks(
-                            ahead, self.roots_per_task, seed, task_index)
-                if rounds is not None:
-                    results = rounds.run_round(tasks, predicted)
-                else:
-                    results = pool.run_tasks(handle, tasks)
-                for task_n, task_hits, task_steps in results:
+                for task_n, task_hits, task_steps in pool.run_tasks(
+                        handle, tasks):
                     n_paths += task_n
                     hits += task_hits
                     steps += task_steps
@@ -501,14 +475,11 @@ class SRSSampler:
                         probability, variance, hits, n_paths):
                     break
         finally:
-            if rounds is not None:
-                rounds.close()
             pool.unregister(handle)
 
         probability = hits / n_paths if n_paths else 0.0
         details = {"parallel": {"n_workers": pool.n_workers,
                                 "mode": pool.mode,
-                                "streamed": rounds is not None,
                                 "tasks": task_index}}
         if self.record_trace:
             details["trace"] = trace
@@ -528,7 +499,6 @@ class SRSSampler:
         backend = resolve_backend(self.backend, query.process)
         handle = pool.register(CurveWork(
             query=query, levels=tuple(levels), backend=backend))
-        rounds = RoundPipeline(pool, handle) if self.streamed else None
         horizon = query.horizon
         counts = np.zeros(len(levels), dtype=np.int64)
         n_paths = 0
@@ -543,18 +513,8 @@ class SRSSampler:
                     break
                 tasks, task_index = cut_tasks(cohort, self.roots_per_task,
                                               seed, task_index)
-                predicted = None
-                if rounds is not None and max_steps is None:
-                    ahead = self._round_cohort(n_paths + cohort, steps,
-                                               horizon, None, max_roots)
-                    if ahead > 0:
-                        predicted, _ = cut_tasks(
-                            ahead, self.roots_per_task, seed, task_index)
-                if rounds is not None:
-                    results = rounds.run_round(tasks, predicted)
-                else:
-                    results = pool.run_tasks(handle, tasks)
-                for task_counts, task_n, task_steps in results:
+                for task_counts, task_n, task_steps in pool.run_tasks(
+                        handle, tasks):
                     counts += np.asarray(task_counts, dtype=np.int64)
                     n_paths += task_n
                     steps += task_steps
@@ -562,8 +522,6 @@ class SRSSampler:
                         quality, [int(c) for c in counts], n_paths):
                     break
         finally:
-            if rounds is not None:
-                rounds.close()
             pool.unregister(handle)
         return [int(c) for c in counts], n_paths, steps, \
             time.perf_counter() - started

@@ -1,7 +1,8 @@
 """Relational schema for the in-DBMS query pipeline (Section 6.4).
 
 The paper moves the whole durability-query pipeline inside a DBMS
-(PostgreSQL in the paper; sqlite3 here — see DESIGN.md): predictive
+(PostgreSQL in the paper; sqlite3 here, from the standard library, so
+the pipeline needs no database server): predictive
 model parameters live in a table, the samplers run as stored-procedure
 style functions over them, estimates are recorded, and sample paths can
 be materialised for inspection ("users can look into these possible

@@ -21,6 +21,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.pool import POOL_MODES, _SEED_MOD
 from ..core.quality import (ConfidenceIntervalTarget, NeverTarget,
                             QualityTarget, RelativeErrorTarget)
 
@@ -29,12 +30,10 @@ POLICY_SCHEMA_VERSION = 1
 
 METHODS = ("srs", "smlss", "gmlss", "auto")
 BACKENDS = ("scalar", "vectorized", "auto")
-POOL_MODES = ("fork", "spawn", "thread", "inline")
 
 #: Stride between derived per-query seeds in batch runs (a prime, so
 #: derived streams never collide for realistic batch sizes).
 _SEED_STRIDE = 1_000_003
-_SEED_MOD = 2 ** 31
 
 
 def quality_to_dict(quality: Optional[QualityTarget]) -> Optional[dict]:
@@ -104,11 +103,6 @@ class ParallelPolicy:
         pickling cost; the NumPy kernels release the GIL) or
         ``"inline"``.  Where fork is unavailable, ``"fork"`` falls
         back to ``"thread"``.
-    streamed:
-        Pipeline pooled rounds (speculative next-round submission;
-        see :class:`~repro.core.pool.RoundPipeline`).  Results are
-        byte-identical either way; ``False`` restores the per-round
-        barrier.
     max_worker_restarts:
         Supervision budget: how many dead (or deadline-overrunning)
         workers the pool may respawn per burst of work before falling
@@ -130,7 +124,6 @@ class ParallelPolicy:
     tasks_per_round: int = 8
     members_per_task: int = 32
     pool: str = "fork"
-    streamed: bool = True
     max_worker_restarts: int = 2
     task_retry_limit: int = 2
     task_timeout_seconds: Optional[float] = None
@@ -176,7 +169,6 @@ class ParallelPolicy:
             "tasks_per_round": self.tasks_per_round,
             "members_per_task": self.members_per_task,
             "pool": self.pool,
-            "streamed": self.streamed,
             "max_worker_restarts": self.max_worker_restarts,
             "task_retry_limit": self.task_retry_limit,
             "task_timeout_seconds": self.task_timeout_seconds,

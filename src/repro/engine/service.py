@@ -92,6 +92,26 @@ def plan_kind(num_levels: Optional[int], grid=None):
     return grid_plan_kind(base, grid) if grid else base
 
 
+class _CallLookup:
+    """One plan resolution's view of a :class:`PlanCache`.
+
+    Forwards ``get``/``put`` to the shared cache and keeps the entry
+    its own ``get`` returned, so hit/miss and origin describe *this*
+    call — never a concurrent caller's lookup on the same cache.
+    """
+
+    def __init__(self, cache: PlanCache):
+        self.cache = cache
+        self.entry = None
+
+    def get(self, query, kind="greedy"):
+        self.entry = self.cache.get(query, kind=kind)
+        return self.entry
+
+    def put(self, *args, **kwargs):
+        self.cache.put(*args, **kwargs)
+
+
 def resolve_plan(query: DurabilityQuery,
                  partition: Optional[LevelPartition],
                  num_levels: Optional[int],
@@ -103,13 +123,15 @@ def resolve_plan(query: DurabilityQuery,
                  grid=None):
     """Choose the level plan: explicit > cached > balanced pilot > greedy.
 
-    The single source of truth for plan precedence (also behind the
-    stateless ``repro.core.engine.resolve_partition``).  Returns
+    The single source of truth for plan precedence (pass
+    ``plan_cache=None`` for the cache-less view).  Returns
     ``(partition, search_details_or_None, cache_status_or_None,
     cache_origin_or_None)``; ``cache_status`` is ``"hit"``/``"miss"``
     when a plan cache participated, and ``cache_origin`` reports where
     a hit entry came from (``"search"``, ``"store"``, ``"warmed"`` —
-    see :attr:`~repro.engine.cache.CachedPlan.origin`).  Pilot
+    see :attr:`~repro.engine.cache.CachedPlan.origin`).  Both come
+    from this call's own cache lookup, so concurrent callers sharing
+    the cache never relabel each other's answers.  Pilot
     simulations (balanced-growth pilots and greedy candidate trials)
     run on the requested backend; with ``pool`` (a
     :class:`~repro.core.pool.WorkerPool`) they shard over its workers
@@ -130,22 +152,20 @@ def resolve_plan(query: DurabilityQuery,
     if partition is not None:
         return partition.pruned_above(initial_value), None, None, None
     grid = tuple(float(g) for g in grid) if grid else None
-    hits_before = plan_cache.hits if plan_cache is not None else 0
+    lookup = _CallLookup(plan_cache) if plan_cache is not None else None
+    kind = plan_kind(num_levels, grid)
     if num_levels is not None:
         plan = balanced_growth_partition(
             query, num_levels,
             pilot_paths=max(trial_steps // query.horizon, 200),
-            seed=seed, backend=backend, plan_cache=plan_cache,
-            pool=pool, grid=grid,
-            cache_kind=(grid_plan_kind(("balanced", num_levels), grid)
-                        if grid else None))
+            seed=seed, backend=backend, plan_cache=lookup,
+            pool=pool, grid=grid, cache_kind=kind)
         search_details = None
     else:
         result = adaptive_greedy_partition(
             query, ratio=ratio, trial_steps=trial_steps, seed=seed,
-            backend=backend, plan_cache=plan_cache, pool=pool, grid=grid,
-            cache_kind=(grid_plan_kind("greedy", grid)
-                        if grid else None))
+            backend=backend, plan_cache=lookup, pool=pool, grid=grid,
+            cache_kind=kind)
         plan = result.partition
         search_details = {
             "search_steps": result.search_steps,
@@ -155,14 +175,11 @@ def resolve_plan(query: DurabilityQuery,
             "partition": result.partition,
             "from_cache": result.from_cache,
         }
-    cache_status = None
-    cache_origin = None
-    if plan_cache is not None:
-        cache_status = "hit" if plan_cache.hits > hits_before else "miss"
-        entry = plan_cache.peek(query, plan_kind(num_levels, grid))
-        if entry is not None:
-            cache_origin = entry.origin
-    return plan, search_details, cache_status, cache_origin
+    if lookup is None:
+        return plan, search_details, None, None
+    if lookup.entry is None:
+        return plan, search_details, "miss", None
+    return plan, search_details, "hit", lookup.entry.origin
 
 
 class DurabilityEngine:
@@ -386,7 +403,6 @@ class DurabilityEngine:
             options.setdefault("roots_per_task", parallel.roots_per_task)
             options.setdefault("tasks_per_round",
                                parallel.tasks_per_round)
-            options.setdefault("streamed", parallel.streamed)
         # A sampler_options override may pick a different backend than
         # the policy; report what the sampler actually ran.
         sampler_backend = resolve_backend(options["backend"], query.process)

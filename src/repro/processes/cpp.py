@@ -16,7 +16,7 @@ excursions of ``U`` are genuinely rare events driven by lucky stretches
 without claims — exactly the regime MLSS targets.  The value thresholds
 in our workload registry are calibrated to this process (the paper's
 printed thresholds of 300-500 are unreachable under its printed
-parameters; see DESIGN.md, "Substitutions").
+parameters).
 
 Batched simulation: each step draws every row's claim count with one
 ``Generator.poisson`` call, then forms all claim totals with a single

@@ -165,8 +165,9 @@ def volatile_cpp(base: StochasticProcess, horizon: int,
     """The paper's Volatile CPP: a large surplus impulse late in the horizon.
 
     The paper adds +200 against its beta range of 300-500; our CPP value
-    scale is ~10x smaller (see DESIGN.md), so the default impulse is
-    scaled accordingly and the workload registry calibrates thresholds.
+    scale is ~10x smaller (see :mod:`repro.processes.cpp`), so the
+    default impulse is scaled accordingly and the workload registry
+    calibrates thresholds.
     """
     return ImpulseProcess(base, impulse=impulse, probability=probability,
                           active_after=int(0.8 * horizon))

@@ -31,9 +31,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..core.pool import _SEED_MOD
 from ..engine.policy import ExecutionPolicy
-
-_SEED_MOD = 2 ** 31
 
 
 class UnknownSessionError(KeyError):

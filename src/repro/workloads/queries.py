@@ -2,8 +2,9 @@
 
 One :class:`WorkloadSpec` per (model, query type) pair.  Thresholds are
 calibrated so each workload's true answer probability lands in the band
-the paper reports for that query type (see Tables 3-5 and DESIGN.md,
-"Substitutions"):
+the paper reports for that query type (see Tables 3-5; the processes
+here stand in for the paper's data, so the thresholds come from their
+own pilot survival curves, ``benchmarks/calibrate_workloads.py``):
 
 =========  ==================  =====================
 type       paper band          quality target (§6)
@@ -15,7 +16,8 @@ rare       ~0.03-0.04 %        10 % relative error
 =========  ==================  =====================
 
 ``paper_beta`` / ``paper_probability`` record the paper's printed
-numbers for side-by-side reporting in EXPERIMENTS.md.
+numbers for side-by-side reporting in the paper-vs-measured tables of
+``benchmarks/experiments.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from ..processes.volatile import ImpulseProcess
 from .survival import SurvivalCurve
 
 #: Impulse settings of the volatile model variants (Section 6.2),
-#: calibrated so impulses actually interact with the level structure
-#: (see DESIGN.md): the queue gets late-horizon impulses as in the
+#: calibrated so impulses actually interact with the level structure:
+#: the queue gets late-horizon impulses as in the
 #: paper; the CPP — whose maxima occur early under its negative drift —
 #: gets whole-horizon impulses.
 VOLATILE_QUEUE_IMPULSE = {"impulse": 8.0, "probability": 0.004,

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.engine import answer_durability_query, resolve_partition
+from repro.core.engine import answer_durability_query
 from repro.core.levels import LevelPartition
 from repro.core.quality import RelativeErrorTarget
+from repro.engine.service import resolve_plan
 
 from ..helpers import assert_close_to
 
@@ -108,24 +109,29 @@ class TestAnswerDurabilityQuery:
 
 
 class TestResolvePartition:
+    """Plan precedence without a cache: explicit > balanced > greedy."""
+
     def test_explicit_partition_wins(self, small_chain_query):
         plan = LevelPartition([0.5])
-        resolved, details = resolve_partition(
+        resolved, details, status, origin = resolve_plan(
             small_chain_query, plan, num_levels=4, ratio=3,
-            trial_steps=1000, seed=1)
+            trial_steps=1000, seed=1, plan_cache=None)
         assert resolved == plan
         assert details is None
+        assert status is None and origin is None
 
     def test_num_levels_builds_balanced_plan(self, small_chain_query):
-        resolved, details = resolve_partition(
+        resolved, details, status, origin = resolve_plan(
             small_chain_query, None, num_levels=3, ratio=3,
-            trial_steps=30_000, seed=2)
+            trial_steps=30_000, seed=2, plan_cache=None)
         assert resolved.num_levels >= 2
         assert details is None
+        assert status is None and origin is None
 
     def test_default_is_greedy_search(self, small_chain_query):
-        resolved, details = resolve_partition(
+        resolved, details, status, origin = resolve_plan(
             small_chain_query, None, num_levels=None, ratio=3,
-            trial_steps=6_000, seed=3)
+            trial_steps=6_000, seed=3, plan_cache=None)
+        assert status is None and origin is None
         assert details is not None
         assert details["partition"] == resolved

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.gmlss import GMLSSSampler
-from repro.core.pool import (CounterBlock, PathWork, WorkerPool,
-                             derive_task_seed)
+from repro.core.pool import (CounterBlock, PathWork, PooledForestRunner,
+                             WorkerPool, derive_task_seed)
 from repro.core.records import ForestAggregate, RootRecord
 from repro.core.smlss import SMLSSSampler
 from repro.core.srs import SRSSampler
@@ -328,77 +328,45 @@ class TestThreadMode:
             assert pool.mode == "thread"
 
 
-class TestStreamedScheduling:
-    """Pipelined rounds return exactly what the barrier path returns."""
+class TestPooledMLSS:
+    """Pooled s-MLSS / g-MLSS runs: exact root totals, the s-MLSS
+    estimator, and the pooled runner's input validation."""
 
-    @pytest.mark.parametrize("sampler_cls",
-                             [SRSSampler, SMLSSSampler, GMLSSSampler])
-    def test_streamed_matches_barrier(self, sampler_cls, small_chain_query,
+    @pytest.mark.parametrize("sampler_cls", [SMLSSSampler, GMLSSSampler])
+    def test_max_roots_total_is_exact(self, sampler_cls, small_chain_query,
                                       small_chain_partition):
-        """Small tasks + small rounds force many rounds, so speculation
-        actually overlaps; results must still be byte-identical."""
-        outcomes = []
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
-                if sampler_cls is SRSSampler:
-                    sampler = SRSSampler(
-                        backend="auto", pool=pool, roots_per_task=64,
-                        tasks_per_round=4, streamed=streamed)
-                else:
-                    sampler = sampler_cls(
-                        small_chain_partition, ratio=3, backend="auto",
-                        pool=pool, roots_per_task=64, tasks_per_round=4,
-                        streamed=streamed)
-                estimate = sampler.run(small_chain_query, seed=5,
-                                       max_roots=3_000)
-            outcomes.append((estimate.probability, estimate.variance,
-                             estimate.n_roots, estimate.hits,
-                             estimate.steps))
-        assert outcomes[0] == outcomes[1]
+        """101 roots cut into 16-root tasks over 3 workers: the last
+        task is partial, and the total must still be exactly 101."""
+        with WorkerPool(n_workers=3) as pool:
+            estimate = sampler_cls(
+                small_chain_partition, ratio=3, backend="auto", pool=pool,
+                roots_per_task=16, tasks_per_round=4).run(
+                small_chain_query, max_roots=101, seed=3)
+        assert estimate.n_roots == 101
 
-    def test_streamed_flag_reported_in_details(self, small_chain_query):
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
-                estimate = SRSSampler(
-                    backend="auto", pool=pool, streamed=streamed).run(
-                    small_chain_query, max_roots=500, seed=1)
-            assert estimate.details["parallel"]["streamed"] is streamed
+    def test_pooled_smlss_estimator(self, small_chain_query,
+                                    small_chain_partition,
+                                    small_chain_exact):
+        with WorkerPool(n_workers=2) as pool:
+            estimate = SMLSSSampler(
+                small_chain_partition, ratio=3, backend="auto",
+                pool=pool).run(small_chain_query, max_roots=1_500, seed=4)
+        assert estimate.method == "smlss"
+        assert estimate.n_roots == 1_500
+        assert not estimate.details["skipping_detected"]
+        assert estimate.variance > 0
+        assert_close_to(estimate.probability, small_chain_exact,
+                        estimate.std_error)
 
-    def test_streamed_curve_matches_barrier(self, small_chain_query):
-        levels = (0.25, 0.5, 0.75, 1.0)
-        outcomes = []
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
-                curve = SRSSampler(
-                    backend="auto", pool=pool, roots_per_task=64,
-                    tasks_per_round=4, streamed=streamed).run_curve(
-                    small_chain_query, levels, max_roots=2_000, seed=3)
-            outcomes.append(tuple(e.probability for e in curve.estimates)
-                            + (curve.steps, curve.n_roots))
-        assert outcomes[0] == outcomes[1]
-
-    def test_streamed_quality_target_discards_speculation(
-            self, small_chain_query):
-        """A quality-target stop leaves a speculative round in flight;
-        its results must be discarded without contaminating the
-        estimate (identical to the barrier run) or wedging the pool."""
-        from repro.core.quality import RelativeErrorTarget
-        outcomes = []
-        for streamed in (False, True):
-            with WorkerPool(n_workers=2) as pool:
-                estimate = SRSSampler(
-                    backend="auto", pool=pool, roots_per_task=64,
-                    tasks_per_round=4, streamed=streamed).run(
-                    small_chain_query,
-                    quality=RelativeErrorTarget(target=0.3, min_hits=5),
-                    max_roots=200_000, seed=41)
-                # The pool must still be serviceable after a discard.
-                follow_up = SRSSampler(backend="auto", pool=pool).run(
-                    small_chain_query, max_roots=500, seed=2)
-            assert follow_up.n_roots == 500
-            outcomes.append((estimate.probability, estimate.n_roots,
-                             estimate.steps))
-        assert outcomes[0] == outcomes[1]
+    @pytest.mark.parametrize("kwargs", [{"roots_per_task": 0},
+                                        {"tasks_per_round": 0}])
+    def test_runner_rejects_bad_task_sizes(self, small_chain_query,
+                                           small_chain_partition, kwargs):
+        with WorkerPool(n_workers=1) as pool:
+            with pytest.raises(ValueError, match="must be >= 1"):
+                PooledForestRunner(pool, small_chain_query,
+                                   small_chain_partition, 3, "vectorized",
+                                   seed=0, **kwargs)
 
 
 class TestStrictStepBudget:

@@ -144,20 +144,15 @@ class TestParallelPolicy:
         assert restored == policy
         assert restored.parallel.pool == "spawn"
 
-    def test_thread_mode_and_streaming_round_trip(self):
+    def test_thread_mode_round_trip(self):
         policy = ExecutionPolicy(
             max_steps=1000,
-            parallel=ParallelPolicy(n_workers=2, pool="thread",
-                                    streamed=False))
+            parallel=ParallelPolicy(n_workers=2, pool="thread"))
         data = policy.to_dict()
         assert data["parallel"]["pool"] == "thread"
-        assert data["parallel"]["streamed"] is False
         restored = ExecutionPolicy.from_dict(data)
         assert restored == policy
         restored.validate()
-
-    def test_streamed_by_default(self):
-        assert ParallelPolicy().streamed is True
 
     def test_none_parallel_round_trips(self):
         policy = ExecutionPolicy(max_steps=10)
@@ -190,8 +185,9 @@ class TestParallelPolicy:
         policy.validate()
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown ParallelPolicy"):
-            ParallelPolicy.from_dict({"n_workers": 2, "cores": 8})
+        for data in ({"n_workers": 2, "cores": 8}, {"streamed": False}):
+            with pytest.raises(ValueError, match="unknown ParallelPolicy"):
+                ParallelPolicy.from_dict(data)
 
     def test_replace_carries_parallel(self):
         policy = ExecutionPolicy(max_steps=10,

@@ -744,6 +744,53 @@ class TestPlanProvenance:
         assert answers[0].details["cohort_id"] != \
             answers[2].details["cohort_id"]
 
+    def test_concurrent_hit_does_not_relabel_a_cold_answer(self, walk):
+        """Another thread's cache hit during this call's plan search
+        must not turn this call's miss into a reported hit: each call
+        reports its own lookup."""
+        import threading
+
+        warm = DurabilityQuery.threshold(
+            walk, RandomWalkProcess.position, beta=10.0, horizon=30)
+        concurrent = []
+
+        class InterleavingCache(PlanCache):
+            """Another thread answers the warm shape right after this
+            call stores its freshly searched plan."""
+
+            interleave = False
+
+            def put(self, query, partition, **kwargs):
+                super().put(query, partition, **kwargs)
+                if self.interleave:
+                    other = threading.Thread(
+                        target=lambda: concurrent.append(
+                            engine.answer(warm)))
+                    other.start()
+                    other.join(timeout=60)
+                    assert not other.is_alive()
+
+        cache = InterleavingCache()
+        engine = DurabilityEngine(ExecutionPolicy(
+            method="gmlss", num_levels=4, max_roots=200, seed=54,
+            trial_steps=2_000), plan_cache=cache)
+        engine.answer(warm)
+        cache.retag(warm, ("balanced", 4), "warmed")
+        cache.interleave = True
+        cold = [engine.answer(DurabilityQuery.threshold(
+                    walk, RandomWalkProcess.position, beta=10.0,
+                    horizon=horizon))
+                for horizon in (36, 40, 44)]
+        assert len(concurrent) == len(cold)
+        for estimate in cold:
+            assert estimate.details["plan_cache"] == "miss"
+            assert estimate.details["plan_source"] == "search"
+            assert "plan_origin" not in estimate.details
+        for estimate in concurrent:
+            assert estimate.details["plan_cache"] == "hit"
+            assert estimate.details["plan_source"] == "cache"
+            assert estimate.details["plan_origin"] == "warmed"
+
 
 class TestCurveAwarePlans:
     """num_levels beyond the grid buys refinement boundaries between
@@ -808,22 +855,19 @@ class TestCurveAwarePlans:
 
 
 class TestCurveAwareParallelDeterminism:
-    """Pooled curve-aware answers must not depend on the worker count,
-    the pool mode, or streamed-vs-barrier round scheduling."""
+    """Pooled curve-aware answers must not depend on the worker count
+    or the pool mode."""
 
     def test_byte_identical_across_pool_configs(self, walk):
         query = DurabilityQuery.threshold(
             walk, RandomWalkProcess.position, beta=10.0, horizon=40)
         signatures = []
-        for mode, n_workers, streamed in (
-                ("thread", 1, True), ("thread", 2, True),
-                ("thread", 2, False), ("fork", 2, True),
-                ("fork", 2, False)):
+        for mode, n_workers in (("thread", 1), ("thread", 2),
+                                ("fork", 2)):
             engine = DurabilityEngine(ExecutionPolicy(
                 method="gmlss", num_levels=6, max_roots=1_024, seed=57,
                 trial_steps=2_000,
                 parallel=ParallelPolicy(n_workers=n_workers, pool=mode,
-                                        streamed=streamed,
                                         roots_per_task=128)))
             try:
                 curve = engine.durability_curve(query, [5.0, 8.0, 10.0])
@@ -834,18 +878,16 @@ class TestCurveAwareParallelDeterminism:
                 for e in curve.estimates))
         assert all(s == signatures[0] for s in signatures[1:])
 
-    def test_fleet_answers_ignore_streamed_toggle(self):
+    def test_fleet_answers_identical_across_pool_modes(self):
         queries = [DurabilityQuery.threshold(
             RandomWalkProcess(p_up=0.30 + 0.02 * i, p_down=0.48),
             RandomWalkProcess.position, beta=12.0, horizon=30)
             for i in range(3)]
         signatures = []
-        for mode, streamed in (("thread", True), ("thread", False),
-                               ("fork", True)):
+        for mode in ("inline", "thread", "fork"):
             engine = DurabilityEngine(ExecutionPolicy(
                 method="gmlss", num_levels=3, max_roots=600, seed=58,
                 parallel=ParallelPolicy(n_workers=2, pool=mode,
-                                        streamed=streamed,
                                         members_per_task=2)))
             try:
                 answers = engine.answer_batch(queries)
