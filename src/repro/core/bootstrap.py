@@ -6,10 +6,11 @@ empirical distribution of the resampled estimates:
 
     Var_hat(tau_hat) = sum_i (tau_hat_i - tau_bar)^2 / N.
 
-Because every root tree is summarised by a handful of counters
-(:class:`repro.core.records.RootRecord`), a bootstrap replicate never
-re-simulates anything — it resamples counter rows and refolds them
-through the estimator, vectorised with numpy.
+Because every root tree is summarised by a handful of integer counters,
+kept as one row per root in the aggregate's per-root arrays
+(:meth:`repro.core.records.ForestAggregate.per_root_matrices`), a
+bootstrap replicate never re-simulates anything — it resamples counter
+rows and refolds them through the estimator, vectorised with numpy.
 
 All ``n_boot`` replicates evaluate as **one** gather + fold: the
 resampled indices become an ``(n_boot, n_roots)`` multiplicity matrix
@@ -81,12 +82,12 @@ def _replicate_chunks(n_boot: int, n_roots: int):
 def bootstrap_variance(aggregate: ForestAggregate, ratios: tuple,
                        n_boot: int = 200, seed: Optional[int] = None,
                        n_draw: Optional[int] = None) -> BootstrapResult:
-    """Bootstrap the g-MLSS estimator over root-path records.
+    """Bootstrap the g-MLSS estimator over per-root counter rows.
 
     Parameters
     ----------
     aggregate:
-        Forest counters with per-root records.
+        Forest counters with per-root rows.
     ratios:
         Normalised per-level splitting ratios (index 0 unused).
     n_boot:

@@ -80,7 +80,7 @@ from .estimates import DurabilityCurve, DurabilityEstimate
 from .levels import LevelPartition, normalize_ratios
 from .pool import DEFAULT_MEMBERS_PER_TASK, FleetWork, derive_task_seed
 from .quality import QualityTarget
-from .records import ForestAggregate, fold_records_by_owner
+from .records import ForestAggregate
 from .srs import srs_variance
 from .value_functions import TARGET_VALUE, batch_values
 
@@ -678,8 +678,8 @@ def _mlss_members(fused: FusedBatch, z, betas, partition: LevelPartition,
     members (and members out of budget) contribute nothing.  The
     cohort's state rows come from
     :meth:`~repro.processes.base.FusedBatch.initial_states_for`, laid
-    out as contiguous owner runs, and fold back per owner via
-    :func:`~repro.core.records.fold_records_by_owner` — so every
+    out as contiguous owner runs, and each owner's rows fold back into
+    its aggregate (:meth:`~repro.core.records.Cohort.split`) — so every
     member's aggregate is exactly what its own forest would have
     produced, only the interleaving of draws differs.
 
@@ -764,10 +764,10 @@ def _mlss_grow_uniform(runner, aggregates, quality, max_steps, max_roots,
         # FusedBatch.initial_states spreads a cohort of per_member * k
         # roots as contiguous equal runs per member, so root j belongs
         # to member j // per_member.
-        records = runner.run_cohort(per_member * len(aggregates))
-        for member, aggregate in enumerate(aggregates):
-            aggregate.extend(
-                records[member * per_member:(member + 1) * per_member])
+        cohort = runner.run_cohort(per_member * len(aggregates))
+        for aggregate, rows in zip(
+                aggregates, cohort.split([per_member] * len(aggregates))):
+            aggregate.extend(rows)
         if quality is not None and aggregates[0].n_roots >= next_check:
             evaluations += 1
 
@@ -824,11 +824,11 @@ def _mlss_grow_adaptive(fused: FusedBatch, runner, aggregates, quality,
         done |= counts == 0
         if done.all():
             break
-        owners = np.repeat(np.arange(k), counts)
-        records = runner.run_cohort(
+        cohort = runner.run_cohort(
             int(counts.sum()),
             initial_states=fused.initial_states_for(counts))
-        fold_records_by_owner(records, owners, aggregates)
+        for aggregate, rows in zip(aggregates, cohort.split(counts)):
+            aggregate.extend(rows)
         if quality is None:
             continue
         for member in range(k):

@@ -17,23 +17,27 @@ Bookkeeping per path (born at level ``b``):
 * hits the target (value ``>= 1``): ``hits += 1``; skipped levels
   ``k in (b, m)`` get ``skips[k] += 1``.
 * either way the path *crossed* ``beta_{b+1}``, which increments its
-  parent split's crossing counter (the numerator of ``mu(h)``).
+  parent split's crossing counter (the numerator of ``mu(h)``); an
+  offspring's birth level *is* its parent's landing level, so that is
+  ``crossings[b]``.
 * reaches the horizon without leaving level ``b``: nothing to record.
-
-The simulation is iterative (explicit stack), so deep level hierarchies
-cannot overflow Python's recursion limit.
 
 Two runners produce identical bookkeeping:
 
 * :class:`ForestRunner` — the scalar reference: one path at a time,
-  depth-first over the splitting tree.
+  depth-first over the splitting tree (explicit stack, so deep level
+  hierarchies cannot overflow Python's recursion limit), one
+  :class:`~repro.core.records.RootRecord` per tree.
 * :class:`VectorizedForestRunner` — the batched backend: a whole cohort
   of root trees advances breadth-first in time, every live path (roots
   and offspring alike) stepping through one ``step_batch`` call per time
-  index.  Splitting events are processed per event — rare next to steps
-  — so the hot loop stays NumPy-level.  Per-root counters are collected
-  into the same :class:`RootRecord` objects, so the estimators and the
-  bootstrap cannot tell the backends apart.
+  index.  Hits and landings happen on most time steps, so a step only
+  records its event rows' ``(root, born, top)`` (``top``: the level
+  entered, ``m`` for a hit) and spawns offspring; ``numpy.bincount``
+  folds all of a cohort's events into per-root counters at the end.
+
+Both return a :class:`~repro.core.records.Cohort` from ``run_cohort``,
+so the estimators and the bootstrap cannot tell the backends apart.
 
 The vectorized runner keeps its live frontier in preallocated,
 geometrically-grown buffers (:class:`_Frontier`) and steps processes
@@ -49,17 +53,17 @@ import numpy as np
 
 from ..processes.base import as_vectorized
 from .levels import LevelPartition, normalize_ratios
-from .records import RootRecord
+from .records import Cohort, RootRecord
 from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
 
 
 class _Frontier:
     """Preallocated live-path arrays for the vectorized forest runner.
 
-    The frontier — every live path segment's state plus its root index,
-    birth level and parent split slot — changes size on every splitting
-    event.  Rebuilding it with ``numpy.concatenate`` allocates four
-    fresh arrays per event; this helper instead keeps *buffers* with
+    The frontier — every live path segment's state plus its ``(root,
+    born)`` row of root index and birth level — changes size on every
+    splitting event.  Rebuilding it with ``numpy.concatenate`` allocates
+    two fresh arrays per event; this helper instead keeps *buffers* with
     spare capacity (grown geometrically) and compacts survivors +
     offspring into them in place.  Combined with the in-place
     ``step_batch(..., out=...)`` fast path, the hot loop of a large
@@ -67,8 +71,8 @@ class _Frontier:
 
     State buffering engages only for processes with ``supports_out``
     over value-typed arrays (in-place stepping needs a stable buffer);
-    otherwise states stay exact-size arrays while the three int arrays
-    still reuse their buffers.
+    otherwise states stay exact-size arrays while the ``(root, born)``
+    array still reuses its buffer.
     """
 
     def __init__(self, process, n_roots: int, initial_states=None):
@@ -86,19 +90,17 @@ class _Frontier:
                                  and getattr(self.states, "dtype", None)
                                  is not None
                                  and self.states.dtype != object)
-        self.roots = np.arange(n_roots)
-        self.born = np.zeros(n_roots, dtype=np.int64)
-        self.parents = np.full(n_roots, -1, dtype=np.int64)
+        self.meta = np.zeros((n_roots, 2), dtype=np.int64)
+        self.meta[:, 0] = np.arange(n_roots)
 
     def live_states(self) -> np.ndarray:
         if self._buffered_states:
             return self.states[:self.size]
         return self.states
 
-    def live_meta(self):
-        """Views of the live ``(roots, born, parents)`` rows."""
-        n = self.size
-        return self.roots[:n], self.born[:n], self.parents[:n]
+    def live_meta(self) -> np.ndarray:
+        """View of the live ``(root, born)`` rows."""
+        return self.meta[:self.size]
 
     def advance(self, t: int, rng) -> np.ndarray:
         """Step every live path; returns the (possibly in-place) states."""
@@ -125,13 +127,11 @@ class _Frontier:
             buffer[n_survivors:total] = appended
         return buffer
 
-    def rebuild(self, survivors, offspring, offspring_roots,
-                offspring_born, offspring_parents) -> None:
-        """Replace the frontier by its survivors plus spawned offspring."""
+    def rebuild(self, survivors, offspring, offspring_meta) -> None:
+        """Keep the ``survivors`` rows (indices) and append offspring."""
         n_offspring = len(offspring) if offspring is not None else 0
         live_states = self.live_states()
-        roots, born, parents = self.live_meta()
-        total = int(np.count_nonzero(survivors)) + n_offspring
+        total = len(survivors) + n_offspring
         if self._buffered_states:
             self.states = self._fold_into(self.states, live_states,
                                           survivors, offspring, total)
@@ -140,12 +140,8 @@ class _Frontier:
                 [live_states[survivors], offspring])
         else:
             self.states = live_states[survivors]
-        self.roots = self._fold_into(self.roots, roots, survivors,
-                                     offspring_roots, total)
-        self.born = self._fold_into(self.born, born, survivors,
-                                    offspring_born, total)
-        self.parents = self._fold_into(self.parents, parents, survivors,
-                                       offspring_parents, total)
+        self.meta = self._fold_into(self.meta, self.live_meta(), survivors,
+                                    offspring_meta, total)
         self.size = total
 
 
@@ -266,11 +262,15 @@ class ForestRunner:
         record.max_level = max_level
         return record
 
-    def run_roots(self, n_roots: int) -> list:
-        """Simulate ``n_roots`` independent root trees."""
+    def run_cohort(self, n_roots: int) -> Cohort:
+        """Simulate ``n_roots`` independent root trees; one row each."""
         if n_roots < 0:
             raise ValueError(f"n_roots must be >= 0, got {n_roots}")
-        return [self.run_root() for _ in range(n_roots)]
+        cohort = Cohort.zeros(n_roots, self.partition.num_levels)
+        for i in range(n_roots):
+            for rows, value in zip(cohort, self.run_root().row()):
+                rows[i] = value
+        return cohort
 
     def accumulate(self, aggregate, batch_roots: int,
                    max_steps=None, max_roots=None) -> bool:
@@ -315,8 +315,8 @@ class VectorizedForestRunner:
         self.process = as_vectorized(query.process)
         self._bounds = np.asarray(partition.boundaries, dtype=np.float64)
 
-    def run_cohort(self, n_roots: int, initial_states=None) -> list:
-        """Simulate ``n_roots`` root trees; one :class:`RootRecord` each.
+    def run_cohort(self, n_roots: int, initial_states=None) -> Cohort:
+        """Simulate ``n_roots`` root trees; one counter row per root.
 
         ``initial_states`` overrides the process's default time-0
         cohort with an explicit state array (one row per root, in root
@@ -326,20 +326,22 @@ class VectorizedForestRunner:
         """
         if n_roots < 0:
             raise ValueError(f"n_roots must be >= 0, got {n_roots}")
+        num_levels = self.partition.num_levels
         if n_roots == 0:
-            return []
+            return Cohort.zeros(0, num_levels)
         process = self.process
         value_fn = self.query.value_function
         horizon = self.query.horizon
-        num_levels = self.partition.num_levels
         bounds = self._bounds
-        ratios = self.ratios
+        ratios = np.asarray(self.ratios, dtype=np.int64)
         rng = self.rng
 
-        records = [RootRecord(num_levels) for _ in range(n_roots)]
-        steps_per_root = np.zeros(n_roots, dtype=np.int64)
-        # Per-split crossing counters: splits[slot] = [root, level, crossed].
-        splits = []
+        # Per time step with events: t, and the event rows' (root,
+        # born) rows and tops.  The empty first entry keeps the final
+        # concatenations typed when no event ever happens.
+        times = [0]
+        event_meta = [np.zeros((0, 2), dtype=np.int64)]
+        event_top = [np.zeros(0, dtype=np.int64)]
 
         # Preallocated frontier buffers, one row per live path segment.
         frontier = _Frontier(process, n_roots,
@@ -349,66 +351,43 @@ class VectorizedForestRunner:
             if not frontier.size:
                 break
             states = frontier.advance(t, rng)
-            roots, born, parents = frontier.live_meta()
-            steps_per_root += np.bincount(roots, minlength=n_roots)
+            meta = frontier.live_meta()
             values = batch_values(value_fn, states, t)
-            hit = values >= TARGET_VALUE
-            levels = np.searchsorted(bounds, values, side="right")
-            promoted = ~hit & (levels > born)
-            event = hit | promoted
-            if not event.any():
+            # The level each path is in now; a hit tops out at m.
+            top = np.where(values >= TARGET_VALUE, num_levels,
+                           bounds.searchsorted(values, side="right"))
+            event = top > meta[:, 1]
+            rows = event.nonzero()[0]
+            if not len(rows):
                 continue
-
-            # Events (hits and promotions) are rare relative to steps;
-            # handle them path by path while the frontier stays batched.
-            spawn_rows, spawn_slots, spawn_levels = [], [], []
-            for i in np.nonzero(event)[0]:
-                record = records[roots[i]]
-                level_born = born[i]
-                if hit[i]:
-                    record.hits += 1
-                    record.max_level = num_levels
-                    for k in range(level_born + 1, num_levels):
-                        record.skips[k] += 1
-                else:
-                    level = int(levels[i])
-                    if level > record.max_level:
-                        record.max_level = level
-                    for k in range(level_born + 1, level):
-                        record.skips[k] += 1
-                    record.landings[level] += 1
-                    slot = len(splits)
-                    splits.append([roots[i], level, 0])
-                    if t < horizon:
-                        spawn_rows.append(i)
-                        spawn_slots.append(slot)
-                        spawn_levels.append(level)
-                    # Landing exactly at the horizon leaves the offspring
-                    # no time: mu(h) = 0, recorded implicitly by the
-                    # split having zero crossings.
-                # Either way the path crossed its birth level's upper
-                # boundary, which feeds its parent split's counter.
-                parent = parents[i]
-                if parent >= 0:
-                    splits[parent][2] += 1
-
-            survivors = ~event
-            if spawn_rows:
-                counts = np.asarray([ratios[lv] for lv in spawn_levels])
-                offspring = process.replicate(states, spawn_rows, counts)
-                frontier.rebuild(
-                    survivors, offspring,
-                    np.repeat(roots[spawn_rows], counts),
-                    np.repeat(spawn_levels, counts),
-                    np.repeat(spawn_slots, counts))
+            survivors = (~event).nonzero()[0]
+            top = top[rows]
+            ended = meta[rows]
+            times.append(t)
+            event_meta.append(ended)
+            event_top.append(top)
+            # Landings split into r offspring that start from the
+            # landing state; landing exactly at the horizon leaves them
+            # no time (mu(h) = 0: the split records zero crossings).
+            landed = top < num_levels
+            spawn = rows[landed] if t < horizon else rows[:0]
+            if len(spawn):
+                # Offspring keep the root and are born where it landed.
+                child = ended[landed]
+                child[:, 1] = top[landed]
+                counts = ratios[child[:, 1]]
+                frontier.rebuild(survivors,
+                                 process.replicate(states, spawn, counts),
+                                 child.repeat(counts, axis=0))
             else:
-                frontier.rebuild(survivors, None, None, None, None)
+                frontier.rebuild(survivors, None, None)
 
-        for root, level, crossed in splits:
-            records[root].crossings[level] += crossed
-        for root, record in enumerate(records):
-            record.steps = int(steps_per_root[root])
-        return records
+        ended = np.concatenate(event_meta)
+        return _fold_events(
+            n_roots, self.ratios, horizon,
+            np.repeat(times, [len(top) for top in event_top]),
+            ended[:, 0], ended[:, 1], np.concatenate(event_top),
+            frontier.live_meta()[:, 0])
 
     def accumulate(self, aggregate, batch_roots: int,
                    max_steps=None, max_roots=None) -> bool:
@@ -431,3 +410,45 @@ class VectorizedForestRunner:
                  and aggregate.n_roots >= max_roots)
                 or (max_steps is not None
                     and aggregate.steps >= max_steps))
+
+
+def _fold_events(n_roots: int, ratios: tuple, horizon: int, times,
+                 roots, born, top, live_roots) -> Cohort:
+    """Per-root counters from a cohort's events.
+
+    Event ``e``: a segment of root ``roots[e]`` born in level
+    ``born[e]`` entered ``top[e]`` at time ``times[e]``; ``live_roots``
+    are the segments still live at the horizon.  One ``bincount`` per
+    counter applies the module docstring's rules: a hit or landing at
+    ``(root, top)``, skips strictly between ``born`` and ``top`` (a
+    difference array cumsummed along levels), a crossing at ``(root,
+    born)`` for every offspring.  A segment costs ``end - start``
+    steps, from 0 (a root) or its parent's landing time to its event
+    or the horizon.
+    """
+    m = len(ratios)
+    hit = top == m
+
+    def level_counts(flat_index):
+        return np.bincount(flat_index, minlength=n_roots * m).reshape(
+            n_roots, m)
+
+    landed = ~hit
+    landings = level_counts(roots[landed] * m + top[landed])
+    child = born > 0
+    crossings = level_counts(roots[child] * m + born[child])
+    width = m + 1
+    edges = (np.bincount(roots * width + born + 1,
+                         minlength=n_roots * width)
+             - np.bincount(roots * width + top, minlength=n_roots * width))
+    skips = np.cumsum(edges.reshape(n_roots, width), axis=1)[:, :m]
+    max_levels = np.zeros(n_roots, dtype=np.int64)
+    np.maximum.at(max_levels, roots, top)
+    offspring = np.append(ratios, 0)[top] * (times < horizon)
+    # Float weights: exact, since every partial sum is an integer < 2**53.
+    steps = (np.bincount(roots, weights=times * (1 - offspring),
+                         minlength=n_roots)
+             + horizon * np.bincount(live_roots, minlength=n_roots))
+    return Cohort(landings, skips, crossings,
+                  np.bincount(roots[hit], minlength=n_roots),
+                  max_levels, steps.astype(np.int64))

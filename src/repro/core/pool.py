@@ -19,11 +19,13 @@ second core.  This module is a persistent execution layer instead:
   reference per thread worker); subsequent rounds send only tiny *work
   descriptors* (task id, root budget, derived seed).
 * :class:`CounterBlock` — preallocated per-(work, worker) counter
-  arrays through which forest workers return their per-root
-  :class:`~repro.core.records.RootRecord` counters.  Process modes back
-  them with ``multiprocessing.shared_memory`` (counter matrices cross
-  the process boundary as shared bytes, never as pickles); thread and
-  inline modes use plain local buffers with the identical layout.
+  arrays in the :class:`~repro.core.records.Cohort` row layout: forest
+  workers slice-assign each cohort in, and the parent folds the rows
+  back through the same ``ForestAggregate.extend`` as in-process runs.
+  Process modes back them with ``multiprocessing.shared_memory``
+  (counter matrices cross the process boundary as shared bytes, never
+  as pickles); thread and inline modes use plain local buffers with
+  the identical layout.
 * :class:`_TaskStream` / :meth:`WorkerPool.stream` — task submission.
   ``submit`` is non-blocking and ``collect`` returns results in
   submission order, so a caller can consume results while later tasks
@@ -108,6 +110,7 @@ import numpy as np
 
 from .forest import validate_plan
 from .levels import normalize_ratios
+from .records import Cohort
 
 #: Pool execution modes: process start methods (``"fork"``/``"spawn"``),
 #: the shared-address-space thread backend (``"thread"``) and the
@@ -280,13 +283,12 @@ class PlanSearchWork:
 class CounterBlock:
     """Preallocated per-root counter arrays over a raw buffer.
 
-    Layout (all ``int64``): three ``(capacity, m)`` level matrices —
-    landings, skips, crossings — followed by three ``(capacity,)``
-    vectors — hits, max_levels, steps.  The buffer may be a
+    Layout: the :class:`~repro.core.records.Cohort` fields in order,
+    ``capacity`` rows each (all ``int64``).  The buffer may be a
     ``multiprocessing.shared_memory`` view (cross-process) or a plain
     local array (thread and inline modes); either way workers *write
-    rows* and the parent *reads rows*, so counters never pass through
-    pickle.
+    cohorts* and the parent *reads rows*, so counters never pass
+    through pickle.
     """
 
     __slots__ = ("capacity", "num_levels", "landings", "skips",
@@ -295,17 +297,13 @@ class CounterBlock:
     def __init__(self, capacity: int, num_levels: int, buffer):
         self.capacity = capacity
         self.num_levels = num_levels
-        matrix = capacity * num_levels
         offset = 0
-        for name in ("landings", "skips", "crossings"):
-            view = np.frombuffer(buffer, dtype=np.int64, count=matrix,
-                                 offset=offset)
-            setattr(self, name, view.reshape(capacity, num_levels))
-            offset += matrix * 8
-        for name in ("hits", "max_levels", "steps"):
-            setattr(self, name, np.frombuffer(
-                buffer, dtype=np.int64, count=capacity, offset=offset))
-            offset += capacity * 8
+        for name, shape in zip(Cohort._fields,
+                               Cohort.shapes(capacity, num_levels)):
+            view = np.frombuffer(buffer, dtype=np.int64, offset=offset,
+                                 count=int(np.prod(shape)))
+            setattr(self, name, view.reshape(shape))
+            offset += view.nbytes
 
     @staticmethod
     def nbytes(capacity: int, num_levels: int) -> int:
@@ -318,32 +316,26 @@ class CounterBlock:
                    np.zeros(cls.nbytes(capacity, num_levels),
                             dtype=np.uint8))
 
-    def write_records(self, records: Sequence) -> int:
-        """Store one :class:`RootRecord` per row; returns the count."""
-        n = len(records)
-        if n > self.capacity:
+    def write(self, start: int, cohort: Cohort) -> int:
+        """Slice-assign ``cohort`` into rows ``start..``; returns the
+        row after the last one written."""
+        stop = start + cohort.n_roots
+        if stop > self.capacity:
             raise ValueError(
-                f"{n} records exceed the block capacity {self.capacity}")
-        for i, record in enumerate(records):
-            self.landings[i] = record.landings
-            self.skips[i] = record.skips
-            self.crossings[i] = record.crossings
-            self.hits[i] = record.hits
-            self.max_levels[i] = record.max_level
-            self.steps[i] = record.steps
-        return n
+                f"{stop} rows exceed the block capacity {self.capacity}")
+        for name, rows in zip(Cohort._fields, cohort):
+            getattr(self, name)[start:stop] = rows
+        return stop
 
-    def read(self, n: int) -> tuple:
+    def read(self, n: int) -> Cohort:
         """Copies of the first ``n`` rows (the block is reused next task)."""
-        return (self.landings[:n].copy(), self.skips[:n].copy(),
-                self.crossings[:n].copy(), self.hits[:n].copy(),
-                self.max_levels[:n].copy(), self.steps[:n].copy())
+        return Cohort(*(getattr(self, name)[:n].copy()
+                        for name in Cohort._fields))
 
     def release(self) -> None:
         """Drop the buffer views (required before closing shared memory:
         live NumPy views pin the mapping open)."""
-        for name in ("landings", "skips", "crossings", "hits",
-                     "max_levels", "steps"):
+        for name in Cohort._fields:
             setattr(self, name, None)
 
 
@@ -393,25 +385,22 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
     from .smlss import make_forest_runner  # circular-import guard
     runner = make_forest_runner(spec.backend, spec.query, spec.partition,
                                 spec.ratios, seed)
-    run_batch = getattr(runner, "run_cohort", None) or runner.run_roots
     if step_cap is None:
-        records = run_batch(n_roots)
-    else:
-        # Strict budget: only start roots whose worst-case tree cost
-        # still fits under the cap.  The chunk sequence depends only on
-        # the payload (and the per-chunk simulation itself), so capped
-        # tasks stay byte-identical across workers and pool modes.
-        worst = _worst_case_root_cost(spec)
-        records = []
-        used = 0
-        remaining = n_roots
-        while remaining > 0 and used + worst <= step_cap:
-            affordable = max(int((step_cap - used) // worst), 1)
-            chunk = run_batch(min(remaining, affordable))
-            records.extend(chunk)
-            used += sum(record.steps for record in chunk)
-            remaining -= len(chunk)
-    return block.write_records(records)
+        return block.write(0, runner.run_cohort(n_roots))
+    # Strict budget: only start roots whose worst-case tree cost still
+    # fits under the cap.  The chunk sequence depends only on the
+    # payload (and the per-chunk simulation itself), so capped tasks
+    # stay byte-identical across workers and pool modes.
+    worst = _worst_case_root_cost(spec)
+    rows = used = 0
+    remaining = n_roots
+    while remaining > 0 and used + worst <= step_cap:
+        affordable = max(int((step_cap - used) // worst), 1)
+        chunk = runner.run_cohort(min(remaining, affordable))
+        rows = block.write(rows, chunk)
+        used += int(chunk.steps.sum())
+        remaining -= chunk.n_roots
+    return rows
 
 
 def _run_path_task(spec: PathWork, payload):
@@ -1383,8 +1372,8 @@ class PooledForestRunner:
             cohort, self.roots_per_task, self.seed, self._task_index,
             step_budget)
         roots_before = aggregate.n_roots
-        for arrays in self.pool.run_tasks(self._handle, tasks):
-            aggregate.extend_arrays(*arrays)
+        for cohort in self.pool.run_tasks(self._handle, tasks):
+            aggregate.extend(cohort)
         if step_budget is not None and aggregate.n_roots == roots_before:
             # The remaining budget cannot afford a single worst-case
             # root tree anywhere: the budget is exhausted.

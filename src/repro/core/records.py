@@ -1,8 +1,8 @@
-"""Per-root-path bookkeeping for splitting samplers.
+"""Per-root-tree counters for splitting samplers.
 
 MLSS grows a tree of sample paths from every root path (Figure 1 in the
-paper).  Everything both estimators need is a small set of counters per
-root tree:
+paper).  Everything both estimators need is a small set of integer
+counters per root tree:
 
 * ``hits`` — number of target hits in the tree (the paper's
   ``N_m^<k>`` for root ``k``);
@@ -19,25 +19,32 @@ root tree:
   single forest run answer a whole *grid* of thresholds at once: the
   fraction of trees with ``max_level >= i`` is a direct diagnostic of
   boundary-``i`` reachability, and the durability-curve machinery reads
-  its per-threshold answers off the same records.
+  its per-threshold answers off the same counters.
+* ``steps`` — simulation steps the tree cost.
 
-Keeping the counters per root (rather than only in aggregate) is what
-makes the s-MLSS variance estimator (Eq. 6) and the g-MLSS bootstrap
-(Section 4.2) possible without re-simulating anything.
+The one representation of these counters is a :class:`Cohort` of
+``int64`` arrays, one row per root tree: runners return cohorts, pooled
+workers write them into :class:`~repro.core.pool.CounterBlock` rows,
+and :class:`ForestAggregate` keeps folded rows in growable arrays.
+Keeping the counters per root is what makes the s-MLSS variance
+estimator (Eq. 6) and the g-MLSS bootstrap (Section 4.2) possible
+without re-simulating anything.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import NamedTuple
 
 import numpy as np
 
 
 class RootRecord:
-    """Counters for one root path's splitting tree.
+    """Counters for one root path's splitting tree, as Python lists.
 
-    Arrays are indexed by level ``0 .. m-1``; index 0 is unused (roots
-    start in ``L_0``; there are no landings into or skips over it).
+    The scalar reference :class:`~repro.core.forest.ForestRunner`
+    builds one per tree.  Arrays are indexed by level ``0 .. m-1``;
+    index 0 is unused (roots start in ``L_0``; there are no landings
+    into or skips over it).
     """
 
     __slots__ = ("hits", "steps", "landings", "skips", "crossings",
@@ -51,25 +58,70 @@ class RootRecord:
         self.crossings = [0] * num_levels
         self.max_level = 0
 
+    def row(self) -> tuple:
+        """The counters in :class:`Cohort` field order."""
+        return (self.landings, self.skips, self.crossings, self.hits,
+                self.max_level, self.steps)
+
     def __repr__(self) -> str:
         return (f"RootRecord(hits={self.hits}, steps={self.steps}, "
                 f"landings={self.landings}, skips={self.skips}, "
                 f"crossings={self.crossings}, max_level={self.max_level})")
 
 
+class Cohort(NamedTuple):
+    """Per-root counters of ``n`` root trees, one row per root.
+
+    Three ``(n, m)`` level matrices and three ``(n,)`` vectors, all
+    ``int64`` — exactly the :class:`~repro.core.pool.CounterBlock` row
+    layout, so in-process and pooled runs share one representation.
+    """
+
+    landings: np.ndarray
+    skips: np.ndarray
+    crossings: np.ndarray
+    hits: np.ndarray
+    max_levels: np.ndarray
+    steps: np.ndarray
+
+    @staticmethod
+    def shapes(n_roots: int, num_levels: int) -> tuple:
+        """Each field's shape, in field order."""
+        level, vector = (n_roots, num_levels), (n_roots,)
+        return (level, level, level, vector, vector, vector)
+
+    @classmethod
+    def zeros(cls, n_roots: int, num_levels: int) -> "Cohort":
+        return cls(*(np.zeros(shape, dtype=np.int64)
+                     for shape in cls.shapes(n_roots, num_levels)))
+
+    @property
+    def n_roots(self) -> int:
+        return len(self.hits)
+
+    def split(self, counts) -> list:
+        """Per-owner row runs: owner ``j`` gets the next ``counts[j]``
+        rows (the layout of a fused fleet cohort)."""
+        counts = np.asarray(counts, dtype=np.int64)
+        total = int(counts.sum())
+        if total != self.n_roots:
+            raise ValueError(
+                f"{self.n_roots} rows for owner runs totalling {total}")
+        return [Cohort(*(rows[stop - count:stop] for rows in self))
+                for count, stop in zip(counts, np.cumsum(counts))]
+
+
 class ForestAggregate:
     """Accumulated counters over many root trees.
 
-    Maintains both run totals (for point estimates) and per-root columns
-    (for variance estimation and bootstrapping).  Aggregates from
-    independent workers can be merged, which is how the parallel sampler
-    combines results (Section 3.1, "Parallel Computations").
+    Maintains run totals (for point estimates) and per-root rows (for
+    variance estimation and bootstrapping).  The rows live in one
+    ``int64`` buffer that grows geometrically; its columns are
+    ``landings | skips | crossings | hits | max_level``.
     """
 
     __slots__ = ("num_levels", "n_roots", "hits", "hits_sq_sum", "steps",
-                 "landings", "skips", "crossings",
-                 "root_hits", "root_landings", "root_skips",
-                 "root_crossings", "root_max_levels")
+                 "landings", "skips", "crossings", "_rows")
 
     def __init__(self, num_levels: int):
         if num_levels < 1:
@@ -82,93 +134,53 @@ class ForestAggregate:
         self.landings = [0] * num_levels
         self.skips = [0] * num_levels
         self.crossings = [0] * num_levels
-        # Per-root storage (python lists; converted lazily to numpy).
-        self.root_hits: List[int] = []
-        self.root_landings: List[list] = []
-        self.root_skips: List[list] = []
-        self.root_crossings: List[list] = []
-        self.root_max_levels: List[int] = []
+        self._rows = np.zeros((0, 3 * num_levels + 2), dtype=np.int64)
 
     def add(self, record: RootRecord) -> None:
-        """Fold one finished root tree into the aggregate."""
-        self.n_roots += 1
-        self.hits += record.hits
-        self.hits_sq_sum += record.hits * record.hits
-        self.steps += record.steps
-        for i in range(1, self.num_levels):
-            self.landings[i] += record.landings[i]
-            self.skips[i] += record.skips[i]
-            self.crossings[i] += record.crossings[i]
-        self.root_hits.append(record.hits)
-        self.root_landings.append(record.landings)
-        self.root_skips.append(record.skips)
-        self.root_crossings.append(record.crossings)
-        self.root_max_levels.append(record.max_level)
+        """Fold one scalar-runner tree in (a one-row :meth:`extend`)."""
+        self.extend(Cohort(*([value] for value in record.row())))
 
-    def extend(self, records: Iterable[RootRecord]) -> None:
-        for record in records:
-            self.add(record)
+    def extend(self, cohort: Cohort) -> None:
+        """Fold a cohort of per-root rows in.
 
-    def extend_arrays(self, landings, skips, crossings, hits,
-                      max_levels, steps) -> None:
-        """Fold per-root counter *arrays* in (the pooled-worker path).
-
-        The arrays mirror one :class:`RootRecord` per row — the three
-        ``(n, num_levels)`` level matrices plus the ``(n,)`` hit,
-        max-level and step vectors a :class:`~repro.core.pool.
-        CounterBlock` stores — and folding them is element-for-element
-        identical to calling :meth:`add` on the equivalent records.
+        Every shape is checked before anything changes, so a malformed
+        cohort raises :class:`ValueError` and leaves the aggregate as
+        it was.
         """
-        landings = np.asarray(landings, dtype=np.int64)
-        skips = np.asarray(skips, dtype=np.int64)
-        crossings = np.asarray(crossings, dtype=np.int64)
-        hits = np.asarray(hits, dtype=np.int64)
-        n = len(hits)
+        cohort = Cohort(*cohort)
+        m = self.num_levels
+        n = len(cohort.hits)
+        for name, rows, expected in zip(Cohort._fields, cohort,
+                                        Cohort.shapes(n, m)):
+            if np.shape(rows) != expected:
+                raise ValueError(
+                    f"{name} has shape {np.shape(rows)}; a cohort of {n} "
+                    f"roots over {m} levels needs {expected}")
         if n == 0:
             return
-        if landings.shape[1] != self.num_levels:
-            raise ValueError(
-                f"cannot fold rows with {landings.shape[1]} levels into "
-                f"an aggregate with {self.num_levels}"
-            )
-        self.n_roots += n
+        landings, skips, crossings, hits, max_levels, steps = (
+            np.asarray(rows, dtype=np.int64) for rows in cohort)
+        total = self.n_roots + n
+        if total > len(self._rows):
+            grown = np.empty((max(total, 2 * len(self._rows)),
+                              self._rows.shape[1]), dtype=np.int64)
+            grown[:self.n_roots] = self._rows[:self.n_roots]
+            self._rows = grown
+        dest = self._rows[self.n_roots:total]
+        dest[:, :m] = landings
+        dest[:, m:2 * m] = skips
+        dest[:, 2 * m:3 * m] = crossings
+        dest[:, 3 * m] = hits
+        dest[:, 3 * m + 1] = max_levels
+        self.n_roots = total
         self.hits += int(hits.sum())
-        self.hits_sq_sum += int((hits * hits).sum())
-        self.steps += int(np.asarray(steps).sum())
-        landing_totals = landings.sum(axis=0)
-        skip_totals = skips.sum(axis=0)
-        crossing_totals = crossings.sum(axis=0)
-        for i in range(1, self.num_levels):
-            self.landings[i] += int(landing_totals[i])
-            self.skips[i] += int(skip_totals[i])
-            self.crossings[i] += int(crossing_totals[i])
-        self.root_hits.extend(hits.tolist())
-        self.root_landings.extend(landings.tolist())
-        self.root_skips.extend(skips.tolist())
-        self.root_crossings.extend(crossings.tolist())
-        self.root_max_levels.extend(
-            np.asarray(max_levels, dtype=np.int64).tolist())
-
-    def merge(self, other: "ForestAggregate") -> None:
-        """Fold another aggregate (e.g. from a worker process) in."""
-        if other.num_levels != self.num_levels:
-            raise ValueError(
-                f"cannot merge aggregates with {other.num_levels} and "
-                f"{self.num_levels} levels"
-            )
-        self.n_roots += other.n_roots
-        self.hits += other.hits
-        self.hits_sq_sum += other.hits_sq_sum
-        self.steps += other.steps
-        for i in range(1, self.num_levels):
-            self.landings[i] += other.landings[i]
-            self.skips[i] += other.skips[i]
-            self.crossings[i] += other.crossings[i]
-        self.root_hits.extend(other.root_hits)
-        self.root_landings.extend(other.root_landings)
-        self.root_skips.extend(other.root_skips)
-        self.root_crossings.extend(other.root_crossings)
-        self.root_max_levels.extend(other.root_max_levels)
+        self.hits_sq_sum += int(hits @ hits)
+        self.steps += int(steps.sum())
+        for totals, matrix in ((self.landings, landings),
+                               (self.skips, skips),
+                               (self.crossings, crossings)):
+            totals[1:] = [total + added for total, added in zip(
+                totals[1:], matrix[:, 1:].sum(axis=0).tolist())]
 
     # ------------------------------------------------------------------
     # Views
@@ -199,53 +211,26 @@ class ForestAggregate:
         ever crossing boundary ``beta_i``, which is what the
         durability-curve readers consume.
         """
-        counts = [0] * (self.num_levels + 1)
-        for level in self.root_max_levels:
-            counts[level] += 1
+        m = self.num_levels
+        counts = np.bincount(self._rows[:self.n_roots, 3 * m + 1],
+                             minlength=m + 1)
         # Suffix-sum: reaching level j implies reaching every i <= j.
-        for i in range(self.num_levels - 1, -1, -1):
-            counts[i] += counts[i + 1]
-        return counts
-
-    def hit_counts(self) -> np.ndarray:
-        """Per-root target-hit counts ``N_m^<k>`` as a numpy vector."""
-        return np.asarray(self.root_hits, dtype=np.float64)
+        return np.cumsum(counts[::-1])[::-1].tolist()
 
     def per_root_matrices(self):
-        """Per-root ``(landings, skips, crossings, hits)`` numpy arrays.
+        """Per-root ``(landings, skips, crossings, hits)`` float arrays.
 
         Shapes: ``(n_roots, num_levels)`` for the three level matrices
         and ``(n_roots,)`` for hits.  Used by the bootstrap.
         """
-        shape = (self.n_roots, self.num_levels)
-        landings = np.asarray(self.root_landings, dtype=np.float64)
-        skips = np.asarray(self.root_skips, dtype=np.float64)
-        crossings = np.asarray(self.root_crossings, dtype=np.float64)
-        if self.n_roots == 0:
-            landings = landings.reshape(shape)
-            skips = skips.reshape(shape)
-            crossings = crossings.reshape(shape)
-        return landings, skips, crossings, self.hit_counts()
+        m = self.num_levels
+        rows = self._rows[:self.n_roots]
+        return (rows[:, :m].astype(np.float64),
+                rows[:, m:2 * m].astype(np.float64),
+                rows[:, 2 * m:3 * m].astype(np.float64),
+                rows[:, 3 * m].astype(np.float64))
 
     def __repr__(self) -> str:
         return (f"ForestAggregate(n_roots={self.n_roots}, hits={self.hits}, "
                 f"steps={self.steps}, landings={self.landings}, "
                 f"skips={self.skips})")
-
-
-def fold_records_by_owner(records, owners, aggregates) -> None:
-    """Fold one cohort's records into per-owner aggregates, in order.
-
-    ``owners[j]`` names the aggregate that owns root ``j`` of the
-    cohort — the bookkeeping behind fused fleet rounds with
-    *non-uniform* per-member root allocation, where a cohort is laid
-    out as contiguous owner runs of varying length instead of equal
-    slices.  Folding is element-for-element identical to calling
-    :meth:`ForestAggregate.add` on each owner's records separately, so
-    per-owner estimates stay exchangeable with per-owner forests.
-    """
-    if len(records) != len(owners):
-        raise ValueError(
-            f"{len(records)} records for {len(owners)} owners")
-    for record, owner in zip(records, owners):
-        aggregates[owner].add(record)

@@ -84,7 +84,7 @@ class TestBalancedGrowthPartition:
         runner = ForestRunner(small_chain_query, plan, ratios,
                               random.Random(11))
         aggregate = ForestAggregate(plan.num_levels)
-        aggregate.extend(runner.run_roots(2000))
+        aggregate.extend(runner.run_cohort(2000))
         pis = gmlss_pi_hats(aggregate, ratios)
         positive = [p for p in pis if p > 0]
         assert len(positive) == len(pis)

@@ -26,7 +26,7 @@ def chain_aggregate(query, partition, n_roots, seed):
     ratios = normalize_ratios(3, partition.num_levels)
     runner = ForestRunner(query, partition, ratios, random.Random(seed))
     aggregate = ForestAggregate(partition.num_levels)
-    aggregate.extend(runner.run_roots(n_roots))
+    aggregate.extend(runner.run_cohort(n_roots))
     return aggregate, ratios
 
 

@@ -124,7 +124,7 @@ class TestMLSSPrefixes:
         else:
             runner = ForestRunner(query, partition, ratios,
                                   random.Random(seed))
-            records = runner.run_roots(n_roots)
+            records = runner.run_cohort(n_roots)
         aggregate = ForestAggregate(partition.num_levels)
         aggregate.extend(records)
         return aggregate, ratios
@@ -226,7 +226,7 @@ class TestMaxLevelBookkeeping:
         batched = VectorizedForestRunner(walk_query, partition, ratios,
                                          np.random.default_rng(11))
         agg_s = ForestAggregate(partition.num_levels)
-        agg_s.extend(scalar.run_roots(n_roots))
+        agg_s.extend(scalar.run_cohort(n_roots))
         agg_b = ForestAggregate(partition.num_levels)
         agg_b.extend(batched.run_cohort(n_roots))
 
@@ -246,6 +246,6 @@ class TestMaxLevelBookkeeping:
                               normalize_ratios(3, partition.num_levels),
                               random.Random(12))
         aggregate = ForestAggregate(partition.num_levels)
-        aggregate.extend(runner.run_roots(500))
+        aggregate.extend(runner.run_cohort(500))
         reach = aggregate.level_reach_counts()
         assert reach == sorted(reach, reverse=True)

@@ -121,11 +121,11 @@ class TestValidation:
                               random.Random(0))
         assert runner.run_root().landings == [0, 1]
 
-    def test_run_roots_rejects_negative(self):
+    def test_run_cohort_rejects_negative(self):
         query = scripted_query([0.9])
         runner = ForestRunner(query, LevelPartition(), 1, random.Random(0))
         with pytest.raises(ValueError):
-            runner.run_roots(-1)
+            runner.run_cohort(-1)
 
 
 class TestReproducibility:
@@ -134,8 +134,7 @@ class TestReproducibility:
         def run(seed):
             runner = ForestRunner(small_chain_query, small_chain_partition,
                                   3, random.Random(seed))
-            return [(r.hits, r.steps, r.landings, r.skips, r.crossings)
-                    for r in runner.run_roots(20)]
+            return [rows.tolist() for rows in runner.run_cohort(20)]
 
         assert run(123) == run(123)
         assert run(123) != run(124)
@@ -159,7 +158,7 @@ def test_counter_invariants_hold_on_random_runs(p_up, bounds, ratio, seed):
     partition = LevelPartition(bounds)
     runner = ForestRunner(query, partition, ratio, random.Random(seed))
     aggregate = ForestAggregate(partition.num_levels)
-    aggregate.extend(runner.run_roots(15))
+    aggregate.extend(runner.run_cohort(15))
 
     for i in range(1, partition.num_levels):
         assert 0 <= aggregate.crossings[i] <= ratio * aggregate.landings[i]

@@ -23,7 +23,7 @@ def forest_aggregate(query, boundaries, ratio, n_roots, seed):
     partition = LevelPartition(boundaries)
     runner = ForestRunner(query, partition, ratio, random.Random(seed))
     aggregate = ForestAggregate(partition.num_levels)
-    aggregate.extend(runner.run_roots(n_roots))
+    aggregate.extend(runner.run_cohort(n_roots))
     return aggregate, normalize_ratios(ratio, partition.num_levels)
 
 

@@ -21,7 +21,7 @@ import pytest
 from repro.core.gmlss import GMLSSSampler
 from repro.core.pool import (CounterBlock, PathWork, PooledForestRunner,
                              WorkerPool, derive_task_seed)
-from repro.core.records import ForestAggregate, RootRecord
+from repro.core.records import Cohort, ForestAggregate, RootRecord
 from repro.core.smlss import SMLSSSampler
 from repro.core.srs import SRSSampler
 from repro.core.stats import critical_value
@@ -67,12 +67,21 @@ class TestCounterBlock:
             record.crossings[1] = 2 * i
             record.max_level = i
             records.append(record)
-        n = block.write_records(records)
+        cohort = Cohort(*(
+            np.array([getattr(r, name) for r in records])
+            for name in ("landings", "skips", "crossings", "hits",
+                         "max_level", "steps")))
+        n = block.write(0, cohort)
+        assert n == 3
+        read = block.read(n)
+        for written, back in zip(cohort, read):
+            assert back.tolist() == written.tolist()
         aggregate = ForestAggregate(3)
-        aggregate.extend_arrays(*block.read(n))
+        aggregate.extend(read)
 
         reference = ForestAggregate(3)
-        reference.extend(records)
+        for record in records:
+            reference.add(record)
         assert aggregate.n_roots == reference.n_roots
         assert aggregate.hits == reference.hits
         assert aggregate.hits_sq_sum == reference.hits_sq_sum
@@ -80,14 +89,18 @@ class TestCounterBlock:
         assert aggregate.landings == reference.landings
         assert aggregate.skips == reference.skips
         assert aggregate.crossings == reference.crossings
-        assert aggregate.root_hits == reference.root_hits
-        assert aggregate.root_landings == reference.root_landings
-        assert aggregate.root_max_levels == reference.root_max_levels
+        for ours, theirs in zip(aggregate.per_root_matrices(),
+                                reference.per_root_matrices()):
+            assert ours.tolist() == theirs.tolist()
+        assert (aggregate.level_reach_counts()
+                == reference.level_reach_counts())
 
     def test_rejects_overflow(self):
         block = CounterBlock.local(capacity=1, num_levels=2)
         with pytest.raises(ValueError, match="capacity"):
-            block.write_records([RootRecord(2), RootRecord(2)])
+            block.write(0, Cohort.zeros(2, 2))
+        with pytest.raises(ValueError, match="capacity"):
+            block.write(1, Cohort.zeros(1, 2))
 
 
 class TestLifecycle:

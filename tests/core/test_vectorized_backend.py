@@ -37,7 +37,14 @@ def scripted_query(script, beta=1.0, horizon=None, initial=0.0):
 
 def record_tuple(record):
     return (record.hits, record.steps, record.landings, record.skips,
-            record.crossings)
+            record.crossings, record.max_level)
+
+
+def row_tuple(cohort, i):
+    """:func:`record_tuple` of row ``i`` of a cohort."""
+    return (int(cohort.hits[i]), int(cohort.steps[i]),
+            cohort.landings[i].tolist(), cohort.skips[i].tolist(),
+            cohort.crossings[i].tolist(), int(cohort.max_levels[i]))
 
 
 class TestVectorizedForestBookkeeping:
@@ -62,19 +69,19 @@ class TestVectorizedForestBookkeeping:
                               random.Random(0)).run_root()
         batched = VectorizedForestRunner(
             query, partition, ratio,
-            np.random.default_rng(0)).run_cohort(1)[0]
-        assert record_tuple(batched) == record_tuple(scalar)
+            np.random.default_rng(0)).run_cohort(1)
+        assert row_tuple(batched, 0) == record_tuple(scalar)
 
     def test_cohort_records_are_per_root(self):
         query = scripted_query([0.2, 0.5, 0.9, 1.2])
         partition = LevelPartition([0.4, 0.8])
-        records = VectorizedForestRunner(
+        cohort = VectorizedForestRunner(
             query, partition, 2, np.random.default_rng(0)).run_cohort(5)
-        assert len(records) == 5
+        assert cohort.n_roots == 5
         reference = ForestRunner(query, partition, 2,
                                  random.Random(0)).run_root()
-        for record in records:
-            assert record_tuple(record) == record_tuple(reference)
+        for i in range(5):
+            assert row_tuple(cohort, i) == record_tuple(reference)
 
     def test_validates_plan_like_scalar_runner(self):
         query = scripted_query([0.9], initial=0.5)
@@ -86,7 +93,9 @@ class TestVectorizedForestBookkeeping:
         query = scripted_query([0.9])
         runner = VectorizedForestRunner(query, LevelPartition(), 1,
                                         np.random.default_rng(0))
-        assert runner.run_cohort(0) == []
+        cohort = runner.run_cohort(0)
+        assert cohort.n_roots == 0
+        assert [rows.shape for rows in cohort] == [(0, 1)] * 3 + [(0,)] * 3
         with pytest.raises(ValueError):
             runner.run_cohort(-1)
 
@@ -112,7 +121,7 @@ class TestVectorizedForestBookkeeping:
             else:
                 runner = ForestRunner(query, partition, 3,
                                       random.Random(seed))
-                aggregate.extend(runner.run_roots(n_roots))
+                aggregate.extend(runner.run_cohort(n_roots))
             return np.asarray(aggregate.landings + aggregate.skips
                               + aggregate.crossings
                               + [aggregate.hits, aggregate.steps],
