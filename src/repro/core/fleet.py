@@ -9,16 +9,15 @@ entity is its own process, so each pays the per-call dispatch overhead
 of its own simulation loop at every time step.
 
 This module screens whole fleets through **one** frontier built on
-:class:`repro.processes.base.FusedBatch`, in three flavours:
+:class:`repro.processes.base.FusedBatch`, with two simulation loops:
 
-* :func:`screen_fleet` — one threshold per member, plain SRS: every
-  live path of every entity advances in a single ``step_batch`` per
-  time step, per-entity parameters broadcast by owner and per-entity
-  thresholds compared row-wise.
-* :func:`screen_fleet_curves` — one threshold *grid* per member: each
-  row additionally tracks its running-maximum score, so a single fused
-  pass answers every member's whole durability curve (a row retires
-  only once it clears its owner's top threshold).
+* SRS running maxima — every live path of every entity advances in a
+  single ``step_batch`` per time step, per-entity parameters broadcast
+  by owner, and each row tracks its running-maximum score against its
+  owner's threshold grid (a row retires once it clears its owner's top
+  threshold).  :func:`screen_fleet_curves` answers one threshold
+  *grid* per member; :func:`screen_fleet` answers one threshold per
+  member as the same pass on one-level grids.
 * :func:`screen_fleet_mlss` — rare-event fleets: all members' splitting
   trees grow inside **one fused splitting forest** (a
   :class:`~repro.core.forest.VectorizedForestRunner` whose process is
@@ -30,8 +29,9 @@ This module screens whole fleets through **one** frontier built on
   :meth:`~repro.core.quality.QualityTarget.projected_roots`, so
   converged members stop consuming roots while hard members keep
   splitting (``adaptive=False`` restores the uniform
-  everyone-rides-until-all-met allocation).  Per-member counters fold
-  into per-member g-MLSS estimates exactly as separate forests would.
+  everyone-rides-until-all-met allocation, kept as the benchmark
+  baseline).  Per-member counters fold into per-member g-MLSS estimates
+  exactly as separate forests would.
 
 Per-entity estimates are plain SRS / g-MLSS — each row (or root tree)
 is an ordinary independent sample of its owner, so probabilities,
@@ -48,8 +48,8 @@ Adaptive cohort sizing
 
 With a quality target, fixed per-round cohorts make hard members crawl
 to their target in many rounds while easy members stop immediately.
-When ``adaptive=True`` (the default) each member's next round is sized
-toward *its* remaining need: the target's
+Each unmet member's next round is therefore sized toward *its*
+remaining need: the target's
 :meth:`~repro.core.quality.QualityTarget.projected_roots` plug-in when
 available, doubling otherwise, always within
 ``[batch_roots, max_round_roots]``.  Projections are advisory — the
@@ -58,7 +58,7 @@ stopping decision is always ``is_met`` on real counters.
 Parallelism
 -----------
 
-All three passes accept a :class:`~repro.core.pool.WorkerPool`: the
+All passes accept a :class:`~repro.core.pool.WorkerPool`: the
 fleet shards into fixed member slices of ``members_per_task``, each
 slice screened to completion through its own fused frontier on a
 worker, with slice seeds derived from the slice index.  Fixed slicing
@@ -81,7 +81,7 @@ from .levels import LevelPartition, normalize_ratios
 from .pool import DEFAULT_MEMBERS_PER_TASK, FleetWork, derive_task_seed
 from .quality import QualityTarget
 from .records import ForestAggregate
-from .srs import srs_variance
+from .srs import srs_variance, validate_batch_roots
 from .value_functions import TARGET_VALUE, batch_values
 
 DEFAULT_MAX_ROUND_ROOTS = 8192
@@ -91,12 +91,17 @@ DEFAULT_MAX_ROUND_ROOTS = 8192
 # Shared plumbing
 # ----------------------------------------------------------------------
 
-def _require_stopping_rule(quality, max_steps, max_roots) -> None:
+def _validate_run(quality, max_steps, max_roots, batch_roots: int,
+                  horizon: int) -> None:
+    """Arguments every fused entry point checks before any simulation."""
     if quality is None and max_steps is None and max_roots is None:
         raise ValueError(
             "provide a quality target, max_steps or max_roots; "
             "otherwise the screening pass would never stop"
         )
+    validate_batch_roots(batch_roots)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 def _round_counts(done, round_roots, n_paths, steps, horizon,
@@ -112,9 +117,8 @@ def _round_counts(done, round_roots, n_paths, steps, horizon,
     return counts
 
 
-def _grow_round(adaptive: bool, round_roots, member: int, projected,
-                n_observed: int, batch_roots: int,
-                max_round_roots: int) -> None:
+def _grow_round(round_roots, member: int, projected, n_observed: int,
+                batch_roots: int, max_round_roots: int) -> None:
     """Resize a member's next round toward its remaining need.
 
     ``n_observed`` is the member's roots (or paths) so far; with a
@@ -122,8 +126,6 @@ def _grow_round(adaptive: bool, round_roots, member: int, projected,
     at ``batch_roots`` and capped at ``max_round_roots``; without one
     the round doubles.
     """
-    if not adaptive:
-        return
     if projected is not None:
         remaining = projected - n_observed
         round_roots[member] = min(max(remaining, batch_roots),
@@ -174,189 +176,7 @@ def _run_fleet_pooled(pool, work: FleetWork, tasks: list):
 
 
 # ----------------------------------------------------------------------
-# SRS screening (one threshold per member)
-# ----------------------------------------------------------------------
-
-def _screen_members(fused: FusedBatch, z, betas, horizon: int,
-                    quality, max_steps, max_roots, batch_roots: int,
-                    adaptive: bool, max_round_roots: int, rng):
-    """Screen one fused frontier to completion; per-member counters.
-
-    The core loop shared by the unsharded pass and every pooled member
-    slice.  Returns ``(n_paths, hits, steps, rounds)`` arrays/int.
-    """
-    k = fused.n_members
-    betas = np.asarray(betas, dtype=np.float64)
-    n_paths = np.zeros(k, dtype=np.int64)
-    hits = np.zeros(k, dtype=np.int64)
-    steps = np.zeros(k, dtype=np.int64)
-    done = np.zeros(k, dtype=bool)
-    round_roots = np.full(k, batch_roots, dtype=np.int64)
-    rounds = 0
-    lead = fused.members[0]
-
-    while not done.all():
-        counts = _round_counts(done, round_roots, n_paths, steps,
-                               horizon, max_steps, max_roots)
-        done |= counts == 0
-        if done.all():
-            break
-        rounds += 1
-
-        # The frontier keeps owners, thresholds and member parameters
-        # row-aligned *outside* the state array (unlike the generic
-        # FusedBatch layout): parameters are gathered once per round —
-        # not once per step — the hot loop steps a contiguous core
-        # buffer in place, and per-member step accounting is a k-length
-        # add of live counts instead of a whole-frontier bincount per
-        # time step.  On hit events rows and their side arrays filter
-        # together.
-        owners = np.repeat(np.arange(k), counts)
-        states = fused.initial_core_rows(owners)
-        row_params = fused.row_params(owners)
-        row_betas = betas[owners]
-        live = counts.copy()
-        for t in range(1, horizon + 1):
-            if not len(states):
-                break
-            states = lead.fused_step_batch(row_params, states, t, rng,
-                                           out=states)
-            steps += live
-            values = batch_z_values(z, states)
-            hit = values >= row_betas
-            n_hit = int(np.count_nonzero(hit))
-            if n_hit:
-                hit_counts = np.bincount(owners[hit], minlength=k)
-                hits += hit_counts
-                live -= hit_counts
-                keep = ~hit
-                states = states[keep]
-                owners = owners[keep]
-                row_betas = row_betas[keep]
-                row_params = {name: values[keep]
-                              for name, values in row_params.items()}
-        n_paths += counts
-
-        if quality is not None:
-            alive = ~done & (n_paths > 0)
-            for member in np.nonzero(alive)[0]:
-                probability = hits[member] / n_paths[member]
-                if quality.is_met(probability,
-                                  srs_variance(probability,
-                                               int(n_paths[member])),
-                                  int(hits[member]), int(n_paths[member])):
-                    done[member] = True
-                else:
-                    _grow_round(adaptive, round_roots, member,
-                                quality.projected_roots(
-                                    probability, int(hits[member]),
-                                    int(n_paths[member])),
-                                int(n_paths[member]), batch_roots,
-                                max_round_roots)
-    return n_paths, hits, steps, rounds
-
-
-def screen_fleet(fused: FusedBatch, z, betas: Sequence[float], horizon: int,
-                 quality: Optional[QualityTarget] = None,
-                 max_steps: Optional[int] = None,
-                 max_roots: Optional[int] = None,
-                 batch_roots: int = 500,
-                 seed: Optional[int] = None,
-                 adaptive: bool = True,
-                 max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
-                 pool=None,
-                 members_per_task: int = DEFAULT_MEMBERS_PER_TASK) -> list:
-    """SRS-answer ``Pr[z >= beta_i within horizon]`` for every member.
-
-    Parameters
-    ----------
-    fused:
-        The stacked fleet (one member per entity).
-    z:
-        The shared state evaluation; scored row-wise via the batch-``z``
-        registry, so fused rows evaluate in one call.
-    betas:
-        One threshold per member (raw ``z`` scale; per-member).
-    horizon:
-        Shared query horizon ``s``.
-    quality / max_steps / max_roots:
-        The stopping rule, applied **per member** exactly as a separate
-        :class:`~repro.core.srs.SRSSampler` run would apply it (budgets
-        are per-entity, not fleet-wide); at least one must be given.
-        As in the vectorized SRS backend, budgets are enforced at
-        cohort granularity — every started path runs to its hit or the
-        horizon — so ``max_steps`` can overshoot by at most one cohort
-        per member.
-    batch_roots:
-        Baseline paths *per member* between stopping-rule checks (and
-        the floor of adaptive rounds).
-    seed:
-        Seed of the NumPy generator driving the fused frontier (pooled
-        runs derive one per member slice).
-    adaptive / max_round_roots:
-        Grow each unmet member's next round toward its quality target
-        (see the module docstring) instead of crawling in fixed
-        batches; ``max_round_roots`` caps a single round.
-    pool / members_per_task:
-        Shard the fleet into fixed member slices over a
-        :class:`~repro.core.pool.WorkerPool`; results are invariant
-        under the pool's worker count.
-
-    Returns one :class:`DurabilityEstimate` per member, in member
-    order, each tagged with ``details["fused"]`` and the fleet size.
-    """
-    _require_stopping_rule(quality, max_steps, max_roots)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    k = fused.n_members
-    betas = tuple(float(b) for b in betas)
-    if len(betas) != k:
-        raise ValueError(f"{len(betas)} thresholds for {k} fleet members")
-    started = time.perf_counter()
-
-    if pool is not None and k > 1:
-        tasks = _slice_tasks(k, members_per_task, seed)
-        work = FleetWork(
-            mode="screen", processes=fused.members, z=z, horizon=horizon,
-            betas=betas, quality=quality, max_steps=max_steps,
-            max_roots=max_roots, batch_roots=batch_roots,
-            adaptive=adaptive, max_round_roots=max_round_roots)
-        n_paths = np.zeros(k, dtype=np.int64)
-        hits = np.zeros(k, dtype=np.int64)
-        steps = np.zeros(k, dtype=np.int64)
-        rounds = 0
-        results = _run_fleet_pooled(pool, work, tasks)
-        try:
-            for (lo, hi, _), result in zip(tasks, results):
-                n_paths[lo:hi], hits[lo:hi], steps[lo:hi] = \
-                    result[0], result[1], result[2]
-                rounds = max(rounds, result[3])
-        finally:
-            results.close()
-    else:
-        n_paths, hits, steps, rounds = _screen_members(
-            fused, z, betas, horizon, quality, max_steps, max_roots,
-            batch_roots, adaptive, max_round_roots,
-            np.random.default_rng(seed))
-
-    elapsed = time.perf_counter() - started
-    estimates = []
-    for member in range(k):
-        paths = int(n_paths[member])
-        probability = hits[member] / paths if paths else 0.0
-        estimates.append(DurabilityEstimate(
-            probability=probability,
-            variance=srs_variance(probability, paths),
-            n_roots=paths, hits=int(hits[member]),
-            steps=int(steps[member]), method="srs",
-            elapsed_seconds=elapsed,
-            details={"fused": True, "fleet_size": k, "rounds": rounds},
-        ))
-    return estimates
-
-
-# ----------------------------------------------------------------------
-# SRS curve screening (one threshold grid per member)
+# SRS screening: running maxima against one threshold grid per member
 # ----------------------------------------------------------------------
 
 def validate_grids(grids, k: int) -> list:
@@ -400,13 +220,20 @@ def _fold_maxima(counts, owners, best, grids, k: int) -> None:
 
 def _curve_members(fused: FusedBatch, z, grids, horizon: int,
                    quality, max_steps, max_roots, batch_roots: int,
-                   adaptive: bool, max_round_roots: int, rng):
+                   max_round_roots: int, rng):
     """One fused pass answering every member's whole threshold grid.
 
-    Extends the screening frontier with *running maxima per owner row*:
-    a row stays live until it clears its owner's **top** threshold (or
-    the horizon), and its maximum then credits every grid level at or
-    below it.  Returns ``(level_counts, n_paths, steps, rounds)``.
+    The core loop shared by the unsharded pass and every pooled member
+    slice.  The frontier keeps owners, per-row top thresholds, running
+    maxima and member parameters row-aligned *outside* the state array
+    (unlike the generic FusedBatch layout): parameters are gathered
+    once per round — not once per step — the hot loop steps a
+    contiguous core buffer in place, and per-member step accounting is
+    a k-length add of live counts instead of a whole-frontier bincount
+    per time step.  A row stays live until it clears its owner's
+    **top** threshold (or the horizon), and its maximum then credits
+    every grid level at or below it.  Returns ``(level_counts, n_paths,
+    steps, rounds)``.
     """
     k = fused.n_members
     tops = np.asarray([grid[-1] for grid in grids], dtype=np.float64)
@@ -430,7 +257,9 @@ def _curve_members(fused: FusedBatch, z, grids, horizon: int,
         states = fused.initial_core_rows(owners)
         row_params = fused.row_params(owners)
         row_tops = tops[owners]
-        best = np.zeros(len(owners), dtype=np.float64)
+        # From -inf, a row's maximum reaches a threshold exactly when
+        # one of its scores does, whatever the sign of either.
+        best = np.full(len(owners), -np.inf)
         live = cohort.copy()
         for t in range(1, horizon + 1):
             if not len(states):
@@ -478,9 +307,46 @@ def _curve_members(fused: FusedBatch, z, grids, horizon: int,
                 if met:
                     done[member] = True
                 else:
-                    _grow_round(adaptive, round_roots, member,
-                                worst_projection, int(n_paths[member]),
-                                batch_roots, max_round_roots)
+                    _grow_round(round_roots, member, worst_projection,
+                                int(n_paths[member]), batch_roots,
+                                max_round_roots)
+    return counts, n_paths, steps, rounds
+
+
+def _fleet_curve_counts(fused: FusedBatch, z, grids, horizon: int,
+                        quality, max_steps, max_roots, batch_roots: int,
+                        seed, max_round_roots: int, pool,
+                        members_per_task: int):
+    """Run :func:`_curve_members` over the whole fleet, or over fixed
+    member slices on ``pool``; returns ``(level_counts, n_paths, steps,
+    rounds)`` with ``rounds`` the most any slice needed."""
+    k = fused.n_members
+    if pool is None or k == 1:
+        return _curve_members(fused, z, grids, horizon, quality,
+                              max_steps, max_roots, batch_roots,
+                              max_round_roots, np.random.default_rng(seed))
+    tasks = _slice_tasks(k, members_per_task, seed)
+    work = FleetWork(
+        mode="curves", processes=fused.members, z=z, horizon=horizon,
+        grids=tuple(grids), quality=quality, max_steps=max_steps,
+        max_roots=max_roots, batch_roots=batch_roots,
+        max_round_roots=max_round_roots)
+    counts = [None] * k
+    n_paths = np.zeros(k, dtype=np.int64)
+    steps = np.zeros(k, dtype=np.int64)
+    rounds = 0
+    results = _run_fleet_pooled(pool, work, tasks)
+    try:
+        for (lo, hi, _), result in zip(tasks, results):
+            slice_counts, slice_n, slice_steps, slice_rounds = result
+            for offset, member_counts in enumerate(slice_counts):
+                counts[lo + offset] = np.asarray(member_counts,
+                                                 dtype=np.int64)
+            n_paths[lo:hi] = slice_n
+            steps[lo:hi] = slice_steps
+            rounds = max(rounds, slice_rounds)
+    finally:
+        results.close()
     return counts, n_paths, steps, rounds
 
 
@@ -490,7 +356,6 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
                         max_roots: Optional[int] = None,
                         batch_roots: int = 500,
                         seed: Optional[int] = None,
-                        adaptive: bool = True,
                         max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
                         pool=None,
                         members_per_task: int = DEFAULT_MEMBERS_PER_TASK
@@ -510,41 +375,13 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
     shards into fixed member slices (results invariant under the worker
     count).
     """
-    _require_stopping_rule(quality, max_steps, max_roots)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _validate_run(quality, max_steps, max_roots, batch_roots, horizon)
     k = fused.n_members
     grids = validate_grids(grids, k)
     started = time.perf_counter()
-
-    if pool is not None and k > 1:
-        tasks = _slice_tasks(k, members_per_task, seed)
-        work = FleetWork(
-            mode="curves", processes=fused.members, z=z, horizon=horizon,
-            grids=tuple(grids), quality=quality, max_steps=max_steps,
-            max_roots=max_roots, batch_roots=batch_roots,
-            adaptive=adaptive, max_round_roots=max_round_roots)
-        counts = [None] * k
-        n_paths = np.zeros(k, dtype=np.int64)
-        steps = np.zeros(k, dtype=np.int64)
-        rounds = 0
-        results = _run_fleet_pooled(pool, work, tasks)
-        try:
-            for (lo, hi, _), result in zip(tasks, results):
-                slice_counts, slice_n, slice_steps, slice_rounds = result
-                for offset, member_counts in enumerate(slice_counts):
-                    counts[lo + offset] = np.asarray(member_counts,
-                                                     dtype=np.int64)
-                n_paths[lo:hi] = slice_n
-                steps[lo:hi] = slice_steps
-                rounds = max(rounds, slice_rounds)
-        finally:
-            results.close()
-    else:
-        counts, n_paths, steps, rounds = _curve_members(
-            fused, z, grids, horizon, quality, max_steps, max_roots,
-            batch_roots, adaptive, max_round_roots,
-            np.random.default_rng(seed))
+    counts, n_paths, steps, rounds = _fleet_curve_counts(
+        fused, z, grids, horizon, quality, max_steps, max_roots,
+        batch_roots, seed, max_round_roots, pool, members_per_task)
 
     elapsed = time.perf_counter() - started
     curves = []
@@ -571,6 +408,85 @@ def screen_fleet_curves(fused: FusedBatch, z, grids, horizon: int,
             details={"fused": True, "fleet_size": k, "rounds": rounds},
         ))
     return curves
+
+
+def screen_fleet(fused: FusedBatch, z, betas: Sequence[float], horizon: int,
+                 quality: Optional[QualityTarget] = None,
+                 max_steps: Optional[int] = None,
+                 max_roots: Optional[int] = None,
+                 batch_roots: int = 500,
+                 seed: Optional[int] = None,
+                 max_round_roots: int = DEFAULT_MAX_ROUND_ROOTS,
+                 pool=None,
+                 members_per_task: int = DEFAULT_MEMBERS_PER_TASK) -> list:
+    """SRS-answer ``Pr[z >= beta_i within horizon]`` for every member.
+
+    The running-maxima pass of :func:`screen_fleet_curves` on the
+    one-level grids ``[(beta_i,)]``: a row hits exactly when its
+    running maximum reaches its owner's threshold.
+
+    Parameters
+    ----------
+    fused:
+        The stacked fleet (one member per entity).
+    z:
+        The shared state evaluation; scored row-wise via the batch-``z``
+        registry, so fused rows evaluate in one call.
+    betas:
+        One threshold per member (raw ``z`` scale; per-member).
+    horizon:
+        Shared query horizon ``s``.
+    quality / max_steps / max_roots:
+        The stopping rule, applied **per member** exactly as a separate
+        :class:`~repro.core.srs.SRSSampler` run would apply it (budgets
+        are per-entity, not fleet-wide); at least one must be given.
+        As in the vectorized SRS backend, budgets are enforced at
+        cohort granularity — every started path runs to its hit or the
+        horizon — so ``max_steps`` can overshoot by at most one cohort
+        per member.
+    batch_roots:
+        Baseline paths *per member* between stopping-rule checks (and
+        the floor of grown rounds).
+    seed:
+        Seed of the NumPy generator driving the fused frontier (pooled
+        runs derive one per member slice).
+    max_round_roots:
+        Caps a single round of an unmet member, whose rounds grow
+        toward its quality target (see the module docstring).
+    pool / members_per_task:
+        Shard the fleet into fixed member slices over a
+        :class:`~repro.core.pool.WorkerPool`; results are invariant
+        under the pool's worker count.
+
+    Returns one :class:`DurabilityEstimate` per member, in member
+    order, each tagged with ``details["fused"]``, the fleet size and
+    the round count.
+    """
+    _validate_run(quality, max_steps, max_roots, batch_roots, horizon)
+    k = fused.n_members
+    betas = tuple(float(b) for b in betas)
+    if len(betas) != k:
+        raise ValueError(f"{len(betas)} thresholds for {k} fleet members")
+    started = time.perf_counter()
+    counts, n_paths, steps, rounds = _fleet_curve_counts(
+        fused, z, [(beta,) for beta in betas], horizon, quality,
+        max_steps, max_roots, batch_roots, seed, max_round_roots, pool,
+        members_per_task)
+
+    elapsed = time.perf_counter() - started
+    estimates = []
+    for member in range(k):
+        paths = int(n_paths[member])
+        hits = counts[member][0]
+        probability = hits / paths if paths else 0.0
+        estimates.append(DurabilityEstimate(
+            probability=probability,
+            variance=srs_variance(probability, paths),
+            n_roots=paths, hits=int(hits), steps=int(steps[member]),
+            method="srs", elapsed_seconds=elapsed,
+            details={"fused": True, "fleet_size": k, "rounds": rounds},
+        ))
+    return estimates
 
 
 # ----------------------------------------------------------------------
@@ -850,7 +766,7 @@ def _mlss_grow_adaptive(fused: FusedBatch, runner, aggregates, quality,
                 continue
             next_check[member] = max(next_check[member] + 1,
                                      int(next_check[member] * 1.5))
-            _grow_round(True, round_roots, member,
+            _grow_round(round_roots, member,
                         quality.projected_roots(
                             probability, aggregate.hits,
                             aggregate.n_roots, variance=variance),
@@ -898,9 +814,7 @@ def screen_fleet_mlss(fused: FusedBatch, z, betas: Sequence[float],
     applied *within* the slice (results invariant under the worker
     count).
     """
-    _require_stopping_rule(quality, max_steps, max_roots)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _validate_run(quality, max_steps, max_roots, batch_roots, horizon)
     k = fused.n_members
     betas = tuple(float(b) for b in betas)
     if len(betas) != k:

@@ -17,7 +17,11 @@ second core.  This module is a persistent execution layer instead:
   in the caller.  A *work* — query, partition, fleet, backend — is
   registered **once** (one pickle per process worker, a shared
   reference per thread worker); subsequent rounds send only tiny *work
-  descriptors* (task id, root budget, derived seed).
+  descriptors* (task id, root budget, derived seed).  There are four
+  kinds of work: :class:`ForestWork` (splitting forests),
+  :class:`CurveWork` (SRS running-maxima passes — a point answer is a
+  one-level grid), :class:`FleetWork` (fused fleet slices) and
+  :class:`PlanSearchWork`.
 * :class:`CounterBlock` — preallocated per-(work, worker) counter
   arrays in the :class:`~repro.core.records.Cohort` row layout: forest
   workers slice-assign each cohort in, and the parent folds the rows
@@ -160,7 +164,7 @@ def cut_tasks(cohort: int, roots_per_task: int, seed: Optional[int],
     """Cut one round into fixed-size ``(n, seed[, cap])`` tasks.
 
     The single home of the task decomposition every pooled pass uses
-    (forest rounds, SRS point rounds, SRS curve rounds): task sizes
+    (forest rounds and SRS running-maxima rounds): task sizes
     depend only on ``roots_per_task`` and seeds only on the running
     ``task_index``, which is what the byte-determinism guarantee rests
     on.  With ``step_budget``, each task additionally carries its share
@@ -169,6 +173,9 @@ def cut_tasks(cohort: int, roots_per_task: int, seed: Optional[int],
     cannot cover another worst-case tree, so the round can never
     overshoot ``step_budget``.  Returns ``(tasks, next_task_index)``.
     """
+    if roots_per_task < 1:
+        raise ValueError(
+            f"roots_per_task must be >= 1, got {roots_per_task}")
     tasks = []
     remaining = cohort
     while remaining > 0:
@@ -208,18 +215,10 @@ class ForestWork:
 
 
 @dataclass(frozen=True)
-class PathWork:
-    """An SRS point-estimate work unit: tasks are ``(n_paths, seed)``;
-    results are ``(n_paths, hits, steps)`` scalars."""
-
-    query: object
-    backend: str
-
-
-@dataclass(frozen=True)
 class CurveWork:
-    """An SRS running-maxima curve work unit: tasks are
-    ``(n_paths, seed)``; results are ``(level_counts, n_paths, steps)``."""
+    """An SRS running-maxima work unit: tasks are ``(n_paths, seed)``;
+    results are ``(level_counts, n_paths, steps)``.  Point answers
+    register the one-level grid ``(TARGET_VALUE,)``."""
 
     query: object
     levels: tuple
@@ -232,10 +231,11 @@ class FleetWork:
     ``(lo, hi, seed)``; each task screens its slice to completion
     through one :class:`~repro.processes.base.FusedBatch` frontier.
 
-    ``mode`` selects the pass: ``"screen"`` (per-member thresholds,
-    SRS), ``"curves"`` (per-member threshold *grids*, running maxima
-    per owner row) or ``"mlss"`` (fused splitting forest with a shared
-    normalized partition).
+    ``mode`` selects the pass: ``"curves"`` (SRS over per-member
+    threshold *grids*, running maxima per owner row; one-threshold
+    screens use one-level grids) or ``"mlss"`` (fused splitting forest
+    with a shared normalized partition; ``adaptive`` picks its root
+    allocation).
     """
 
     mode: str
@@ -349,8 +349,6 @@ def _execute(spec, payload, block: Optional[CounterBlock]):
         fault_hook("pool.task", spec=spec, payload=payload)
     if isinstance(spec, ForestWork):
         return _run_forest_task(spec, payload, block)
-    if isinstance(spec, PathWork):
-        return _run_path_task(spec, payload)
     if isinstance(spec, CurveWork):
         return _run_curve_task(spec, payload)
     if isinstance(spec, FleetWork):
@@ -403,14 +401,6 @@ def _run_forest_task(spec: ForestWork, payload, block: CounterBlock):
     return rows
 
 
-def _run_path_task(spec: PathWork, payload):
-    n_paths, seed = payload
-    from .srs import SRSSampler  # circular-import guard
-    estimate = SRSSampler(batch_roots=n_paths, backend=spec.backend).run(
-        spec.query, max_roots=n_paths, seed=seed)
-    return (estimate.n_roots, estimate.hits, estimate.steps)
-
-
 def _run_curve_task(spec: CurveWork, payload):
     n_paths, seed = payload
     from .srs import SRSSampler  # circular-import guard
@@ -425,19 +415,11 @@ def _run_fleet_task(spec: FleetWork, payload):
     from ..processes.base import FusedBatch  # circular-import guard
     from . import fleet  # circular-import guard
     fused = FusedBatch(spec.processes[lo:hi])
-    if spec.mode == "screen":
-        n_paths, hits, steps, rounds = fleet._screen_members(
-            fused, spec.z, spec.betas[lo:hi], spec.horizon, spec.quality,
-            spec.max_steps, spec.max_roots, spec.batch_roots,
-            spec.adaptive, spec.max_round_roots,
-            np.random.default_rng(seed))
-        return (n_paths.tolist(), hits.tolist(), steps.tolist(), rounds)
     if spec.mode == "curves":
         counts, n_paths, steps, rounds = fleet._curve_members(
             fused, spec.z, spec.grids[lo:hi], spec.horizon, spec.quality,
             spec.max_steps, spec.max_roots, spec.batch_roots,
-            spec.adaptive, spec.max_round_roots,
-            np.random.default_rng(seed))
+            spec.max_round_roots, np.random.default_rng(seed))
         return ([c.tolist() for c in counts], n_paths.tolist(),
                 steps.tolist(), rounds)
     if spec.mode == "mlss":

@@ -6,31 +6,34 @@ fraction:
 
     tau_hat = sum(l(SP_i)) / n,     Var_hat = tau_hat (1 - tau_hat) / n.
 
-A path stops as soon as it hits the target (the durability query only
-asks about the *first* hitting time), so the cost of a successful path
-is its hitting time, not the full horizon.
+One simulation loop per backend answers every SRS question: each path
+records its *running maximum* value-function score, so the hit
+indicator for every level of a threshold grid is read off the same
+paths (:meth:`SRSSampler.run_curve`, see
+:class:`repro.core.estimates.DurabilityCurve`).  A point answer
+(:meth:`SRSSampler.run`) is that pass on the one-level grid
+``(TARGET_VALUE,)``.  A path stops as soon as its maximum reaches the
+top level (the durability query only asks about the *first* hitting
+time), so the cost of a successful path is its hitting time, not the
+full horizon.
 
-Two interchangeable backends run the simulation:
+Three interchangeable runners execute the pass:
 
-* ``"scalar"`` — the original per-path Python loop (works for any
-  process);
+* ``"scalar"`` — the per-path Python loop (works for any process);
 * ``"vectorized"`` — whole cohorts of paths advance through
-  :meth:`VectorizedProcess.step_batch` array operations; paths that hit
-  the target drop out of the batch, so early stopping is preserved.
+  :meth:`VectorizedProcess.step_batch` array operations; paths that
+  reach the top level drop out of the batch, so early stopping is
+  preserved;
+* pooled — with a :class:`~repro.core.pool.WorkerPool`, fixed-size
+  tasks of either backend shard over the pool's workers.
 
-Both count cost identically (one ``g`` invocation per live path per
+All count cost identically (one ``g`` invocation per live path per
 step) and sample the same distribution — batching merely reorders
 independent draws — so estimates from either backend are exchangeable.
-The vectorized loops step through :func:`repro.processes.base.
+The vectorized loop steps through :func:`repro.processes.base.
 step_into`, so processes with the in-place ``step_batch(..., out=...)``
 fast path overwrite their cohort buffer instead of allocating a fresh
 state array every time step.
-
-Besides the single-threshold :meth:`SRSSampler.run`, the sampler can
-answer a whole *grid* of thresholds from one pass:
-:meth:`SRSSampler.run_curve` records each path's running maximum score,
-so the hit indicator for every grid level is read off the same paths
-(see :class:`repro.core.estimates.DurabilityCurve`).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import bisect
 import random
 import time
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +49,7 @@ import numpy as np
 from ..processes.base import as_vectorized, resolve_backend, step_into
 from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .pool import (CurveWork, DEFAULT_ROOTS_PER_TASK,
-                   DEFAULT_TASKS_PER_ROUND, PathWork, cut_tasks)
+                   DEFAULT_TASKS_PER_ROUND, cut_tasks)
 from .quality import QualityTarget
 from .value_functions import TARGET_VALUE, DurabilityQuery, batch_values
 
@@ -55,6 +59,13 @@ def srs_variance(probability: float, n_paths: int) -> float:
     if n_paths <= 0:
         return 0.0
     return probability * (1.0 - probability) / n_paths
+
+
+def validate_batch_roots(batch_roots: int) -> None:
+    """Reject a non-positive per-round path count (it would never stop
+    or, in a fused fleet, silently answer from zero paths)."""
+    if batch_roots < 1:
+        raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
 
 
 def validate_curve_levels(levels: Sequence[float]) -> tuple:
@@ -142,9 +153,9 @@ class SRSSampler:
         Number of paths to simulate between stopping-rule checks (and
         the cohort size of the vectorized backend).
     record_trace:
-        When True, a :class:`TracePoint` is recorded at every check;
-        the trace lands in ``estimate.details["trace"]`` (used for the
-        convergence study, Figure 8).
+        When True, :meth:`run` records a :class:`TracePoint` at every
+        check; the trace lands in ``estimate.details["trace"]`` (used
+        for the convergence study, Figure 8).  Curves carry no trace.
     backend:
         ``"scalar"`` (default), ``"vectorized"``, or ``"auto"``
         (vectorized exactly when the process natively supports
@@ -165,92 +176,47 @@ class SRSSampler:
                  backend: str = "scalar", pool=None,
                  roots_per_task: Optional[int] = None,
                  tasks_per_round: Optional[int] = None):
-        if batch_roots < 1:
-            raise ValueError(f"batch_roots must be >= 1, got {batch_roots}")
+        validate_batch_roots(batch_roots)
+        if roots_per_task is None:
+            roots_per_task = DEFAULT_ROOTS_PER_TASK
+        if tasks_per_round is None:
+            tasks_per_round = DEFAULT_TASKS_PER_ROUND
+        if roots_per_task < 1:
+            raise ValueError(
+                f"roots_per_task must be >= 1, got {roots_per_task}")
+        if tasks_per_round < 1:
+            raise ValueError(
+                f"tasks_per_round must be >= 1, got {tasks_per_round}")
         self.batch_roots = batch_roots
         self.record_trace = record_trace
         self.backend = backend
         self.pool = pool
-        self.roots_per_task = roots_per_task or DEFAULT_ROOTS_PER_TASK
-        self.tasks_per_round = tasks_per_round or DEFAULT_TASKS_PER_ROUND
+        self.roots_per_task = roots_per_task
+        self.tasks_per_round = tasks_per_round
 
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,
             max_steps: Optional[int] = None,
             max_roots: Optional[int] = None,
             seed: Optional[int] = None) -> DurabilityEstimate:
-        """Estimate the query answer; stop on quality target or budget."""
-        if quality is None and max_steps is None and max_roots is None:
-            raise ValueError(
-                "provide a quality target, max_steps or max_roots; "
-                "otherwise the sampler would never stop"
-            )
-        if self.pool is not None:
-            return self._run_pooled(query, quality=quality,
-                                    max_steps=max_steps,
-                                    max_roots=max_roots, seed=seed)
-        if resolve_backend(self.backend, query.process) == "vectorized":
-            return self._run_vectorized(query, quality=quality,
-                                        max_steps=max_steps,
-                                        max_roots=max_roots, seed=seed)
-        rng = random.Random(seed)
-        process = query.process
-        step = process.step
-        value_fn = query.value_function
-        horizon = query.horizon
+        """Estimate the query answer; stop on quality target or budget.
 
-        n_paths = 0
-        hits = 0
-        steps = 0
-        trace = []
-        started = time.perf_counter()
-
-        def make_estimate() -> DurabilityEstimate:
-            probability = hits / n_paths if n_paths else 0.0
-            return DurabilityEstimate(
-                probability=probability,
-                variance=srs_variance(probability, n_paths),
-                n_roots=n_paths, hits=hits, steps=steps,
-                method=self.method_name,
-                elapsed_seconds=time.perf_counter() - started,
-                details={"trace": trace} if self.record_trace else {},
-            )
-
-        done = False
-        while not done:
-            for _ in range(self.batch_roots):
-                if max_roots is not None and n_paths >= max_roots:
-                    done = True
-                    break
-                if max_steps is not None and steps >= max_steps:
-                    done = True
-                    break
-                state = process.initial_state()
-                t = 0
-                while t < horizon:
-                    t += 1
-                    state = step(state, t, rng)
-                    steps += 1
-                    if value_fn(state, t) >= TARGET_VALUE:
-                        hits += 1
-                        break
-                n_paths += 1
-            if done or n_paths == 0:
-                break
-            probability = hits / n_paths
-            variance = srs_variance(probability, n_paths)
-            if self.record_trace:
-                trace.append(TracePoint(
-                    steps=steps,
-                    elapsed_seconds=time.perf_counter() - started,
-                    probability=probability, variance=variance,
-                    n_roots=n_paths, hits=hits,
-                ))
-            if quality is not None and quality.is_met(
-                    probability, variance, hits, n_paths):
-                break
-
-        return make_estimate()
+        The one-level curve pass: a path hits the target exactly when
+        its running maximum reaches ``TARGET_VALUE``, so the point
+        answer is the running-maximum pass on the grid
+        ``(TARGET_VALUE,)``.
+        """
+        levels, _ = prepare_curve_grid((TARGET_VALUE,), None, quality,
+                                       max_steps, max_roots)
+        trace = [] if self.record_trace else None
+        counts, n_paths, steps, elapsed, parallel = self._curve_pass(
+            query, levels, quality, max_steps, max_roots, seed, trace)
+        details = {} if parallel is None else {"parallel": parallel}
+        if trace is not None:
+            details["trace"] = trace
+        curve = build_srs_curve(levels, levels, counts, n_paths, steps,
+                                elapsed)
+        return replace(curve.estimates[0], details=details)
 
     def run_curve(self, query: DurabilityQuery, levels: Sequence[float],
                   thresholds: Optional[Sequence[float]] = None,
@@ -289,20 +255,34 @@ class SRSSampler:
         """
         levels, thresholds = prepare_curve_grid(
             levels, thresholds, quality, max_steps, max_roots)
-        if self.pool is not None:
-            counts, n_paths, steps, elapsed = self._curve_pass_pooled(
-                query, levels, quality, max_steps, max_roots, seed)
-        elif resolve_backend(self.backend, query.process) == "vectorized":
-            counts, n_paths, steps, elapsed = self._curve_pass_vectorized(
-                query, levels, quality, max_steps, max_roots, seed)
-        else:
-            counts, n_paths, steps, elapsed = self._curve_pass_scalar(
-                query, levels, quality, max_steps, max_roots, seed)
+        counts, n_paths, steps, elapsed, _ = self._curve_pass(
+            query, levels, quality, max_steps, max_roots, seed)
         return build_srs_curve(thresholds, levels, counts, n_paths, steps,
                                elapsed)
 
+    def _curve_pass(self, query, levels, quality, max_steps, max_roots,
+                    seed, trace=None):
+        """The running-maxima pass on the pool or the resolved backend.
+
+        Returns ``(counts, n_paths, steps, elapsed, parallel)``:
+        per-level hit counts and the pooled run's ``{n_workers, mode,
+        tasks}`` (``None`` without a pool).  With a ``trace`` list, a
+        :class:`TracePoint` for the top level is appended at every
+        stopping-rule check.
+        """
+        if self.pool is not None:
+            return self._curve_pass_pooled(query, levels, quality,
+                                           max_steps, max_roots, seed, trace)
+        if resolve_backend(self.backend, query.process) == "vectorized":
+            passed = self._curve_pass_vectorized(
+                query, levels, quality, max_steps, max_roots, seed, trace)
+        else:
+            passed = self._curve_pass_scalar(
+                query, levels, quality, max_steps, max_roots, seed, trace)
+        return passed + (None,)
+
     def _curve_pass_scalar(self, query, levels, quality, max_steps,
-                           max_roots, seed):
+                           max_roots, seed, trace):
         """Per-path loop recording running maxima against the grid."""
         rng = random.Random(seed)
         process = query.process
@@ -343,14 +323,23 @@ class SRSSampler:
                 n_paths += 1
             if done or n_paths == 0:
                 break
+            if trace is not None:
+                _trace_top(trace, started, counts, n_paths, steps)
             if quality is not None and curve_quality_met(
                     quality, counts, n_paths):
                 break
         return counts, n_paths, steps, time.perf_counter() - started
 
     def _curve_pass_vectorized(self, query, levels, quality, max_steps,
-                               max_roots, seed):
-        """Cohorts advance as NumPy batches, tracking per-path maxima."""
+                               max_roots, seed, trace):
+        """Cohorts advance as NumPy batches, tracking per-path maxima.
+
+        Budgets are enforced at cohort granularity: every started path
+        runs to its hit or the horizon (truncating mid-flight would bias
+        the hit fraction), so ``max_steps`` can be overshot by at most
+        one cohort.  The cohort is shrunk when the remaining budget
+        cannot fill it, keeping that overshoot small.
+        """
         rng = np.random.default_rng(seed)
         process = as_vectorized(query.process)
         value_fn = query.value_function
@@ -397,6 +386,8 @@ class SRSSampler:
                 counts += (best[:, None] >= grid[None, :]).sum(axis=0)
             n_paths += cohort
 
+            if trace is not None:
+                _trace_top(trace, started, counts, n_paths, steps)
             if quality is not None and curve_quality_met(
                     quality, counts, n_paths):
                 break
@@ -408,13 +399,11 @@ class SRSSampler:
                       max_roots: Optional[int]) -> int:
         """Next pooled round's path budget under the stopping budgets.
 
-        Shared by the point and curve pooled passes so their budget
-        semantics cannot drift apart.  Non-positive means "stop".
-        Unlike the single-process vectorized loop (cohort-granular by
-        documented design), the pooled ``max_steps`` budget is
-        *strict*: a path costs at most ``horizon`` steps, so admitting
-        only ``remaining // horizon`` more paths guarantees pooled step
-        counts never exceed the cap.
+        Non-positive means "stop".  Unlike the single-process vectorized
+        loop (cohort-granular by documented design), the pooled
+        ``max_steps`` budget is *strict*: a path costs at most
+        ``horizon`` steps, so admitting only ``remaining // horizon``
+        more paths guarantees pooled step counts never exceed the cap.
         """
         cohort = max(self.batch_roots,
                      self.roots_per_task * self.tasks_per_round)
@@ -426,75 +415,16 @@ class SRSSampler:
             cohort = min(cohort, (max_steps - steps) // horizon)
         return cohort
 
-    def _run_pooled(self, query: DurabilityQuery,
-                    quality: Optional[QualityTarget],
-                    max_steps: Optional[int],
-                    max_roots: Optional[int],
-                    seed: Optional[int]) -> DurabilityEstimate:
+    def _curve_pass_pooled(self, query, levels, quality, max_steps,
+                           max_roots, seed, trace):
         """Paths shard over the worker pool in fixed-size tasks.
 
         Each round is one :meth:`~repro.core.pool.WorkerPool.run_tasks`
         barrier followed by a quality check.  Task seeds come from
-        :func:`~repro.core.pool.derive_task_seed` and results merge in
-        task order, so the estimate is byte-identical for any
+        :func:`~repro.core.pool.derive_task_seed` and per-level counts
+        merge in task order, so the answer is byte-identical for any
         ``n_workers``.
         """
-        pool = self.pool
-        backend = resolve_backend(self.backend, query.process)
-        handle = pool.register(PathWork(query=query, backend=backend))
-        horizon = query.horizon
-        n_paths = 0
-        hits = 0
-        steps = 0
-        task_index = 0
-        trace = []
-        started = time.perf_counter()
-        try:
-            while True:
-                cohort = self._round_cohort(n_paths, steps, horizon,
-                                            max_steps, max_roots)
-                if cohort <= 0:
-                    break
-                tasks, task_index = cut_tasks(cohort, self.roots_per_task,
-                                              seed, task_index)
-                for task_n, task_hits, task_steps in pool.run_tasks(
-                        handle, tasks):
-                    n_paths += task_n
-                    hits += task_hits
-                    steps += task_steps
-                probability = hits / n_paths if n_paths else 0.0
-                variance = srs_variance(probability, n_paths)
-                if self.record_trace:
-                    trace.append(TracePoint(
-                        steps=steps,
-                        elapsed_seconds=time.perf_counter() - started,
-                        probability=probability, variance=variance,
-                        n_roots=n_paths, hits=hits,
-                    ))
-                if quality is not None and quality.is_met(
-                        probability, variance, hits, n_paths):
-                    break
-        finally:
-            pool.unregister(handle)
-
-        probability = hits / n_paths if n_paths else 0.0
-        details = {"parallel": {"n_workers": pool.n_workers,
-                                "mode": pool.mode,
-                                "tasks": task_index}}
-        if self.record_trace:
-            details["trace"] = trace
-        return DurabilityEstimate(
-            probability=probability,
-            variance=srs_variance(probability, n_paths),
-            n_roots=n_paths, hits=hits, steps=steps,
-            method=self.method_name,
-            elapsed_seconds=time.perf_counter() - started,
-            details=details,
-        )
-
-    def _curve_pass_pooled(self, query, levels, quality, max_steps,
-                           max_roots, seed):
-        """Pooled running-maxima pass: per-level counts merge per task."""
         pool = self.pool
         backend = resolve_backend(self.backend, query.process)
         handle = pool.register(CurveWork(
@@ -518,85 +448,27 @@ class SRSSampler:
                     counts += np.asarray(task_counts, dtype=np.int64)
                     n_paths += task_n
                     steps += task_steps
+                if trace is not None:
+                    _trace_top(trace, started, counts, n_paths, steps)
                 if quality is not None and curve_quality_met(
                         quality, [int(c) for c in counts], n_paths):
                     break
         finally:
             pool.unregister(handle)
+        parallel = {"n_workers": pool.n_workers, "mode": pool.mode,
+                    "tasks": task_index}
         return [int(c) for c in counts], n_paths, steps, \
-            time.perf_counter() - started
+            time.perf_counter() - started, parallel
 
-    def _run_vectorized(self, query: DurabilityQuery,
-                        quality: Optional[QualityTarget],
-                        max_steps: Optional[int],
-                        max_roots: Optional[int],
-                        seed: Optional[int]) -> DurabilityEstimate:
-        """Cohorts of paths advance as NumPy batches between checks.
 
-        Budgets are enforced at cohort granularity: every started path
-        runs to its hit or the horizon (truncating mid-flight would bias
-        the hit fraction), so ``max_steps`` can be overshot by at most
-        one cohort.  The cohort is shrunk when the remaining budget
-        cannot fill it, keeping that overshoot small.
-        """
-        rng = np.random.default_rng(seed)
-        process = as_vectorized(query.process)
-        value_fn = query.value_function
-        horizon = query.horizon
-
-        n_paths = 0
-        hits = 0
-        steps = 0
-        trace = []
-        started = time.perf_counter()
-
-        def make_estimate() -> DurabilityEstimate:
-            probability = hits / n_paths if n_paths else 0.0
-            return DurabilityEstimate(
-                probability=probability,
-                variance=srs_variance(probability, n_paths),
-                n_roots=n_paths, hits=hits, steps=steps,
-                method=self.method_name,
-                elapsed_seconds=time.perf_counter() - started,
-                details={"trace": trace} if self.record_trace else {},
-            )
-
-        while True:
-            cohort = self.batch_roots
-            if max_roots is not None:
-                cohort = min(cohort, max_roots - n_paths)
-            if max_steps is not None:
-                if steps >= max_steps:
-                    break
-                cohort = min(cohort, (max_steps - steps) // horizon + 1)
-            if cohort <= 0:
-                break
-
-            states = process.initial_states(cohort)
-            t = 0
-            while t < horizon and len(states):
-                t += 1
-                states = step_into(process, states, t, rng)
-                steps += len(states)
-                values = batch_values(value_fn, states, t)
-                hit = values >= TARGET_VALUE
-                n_hit = int(np.count_nonzero(hit))
-                if n_hit:
-                    hits += n_hit
-                    states = states[~hit]
-            n_paths += cohort
-
-            probability = hits / n_paths
-            variance = srs_variance(probability, n_paths)
-            if self.record_trace:
-                trace.append(TracePoint(
-                    steps=steps,
-                    elapsed_seconds=time.perf_counter() - started,
-                    probability=probability, variance=variance,
-                    n_roots=n_paths, hits=hits,
-                ))
-            if quality is not None and quality.is_met(
-                    probability, variance, hits, n_paths):
-                break
-
-        return make_estimate()
+def _trace_top(trace: list, started: float, counts, n_paths: int,
+               steps: int) -> None:
+    """Append a :class:`TracePoint` for the top grid level."""
+    hits = int(counts[-1])
+    probability = hits / n_paths
+    trace.append(TracePoint(
+        steps=steps, elapsed_seconds=time.perf_counter() - started,
+        probability=probability,
+        variance=srs_variance(probability, n_paths),
+        n_roots=n_paths, hits=hits,
+    ))

@@ -18,8 +18,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import pool as pool_module
 from repro.core.gmlss import GMLSSSampler
-from repro.core.pool import (CounterBlock, PathWork, PooledForestRunner,
+from repro.core.pool import (CounterBlock, CurveWork, PooledForestRunner,
                              WorkerPool, derive_task_seed)
 from repro.core.records import Cohort, ForestAggregate, RootRecord
 from repro.core.smlss import SMLSSSampler
@@ -123,8 +124,8 @@ class TestLifecycle:
         pool = WorkerPool(n_workers=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.register(PathWork(query=small_chain_query,
-                                   backend="vectorized"))
+            pool.register(CurveWork(query=small_chain_query,
+                                    levels=(1.0,), backend="vectorized"))
 
     def test_pool_is_reused_across_runs(self, small_chain_query):
         with WorkerPool(n_workers=2) as pool:
@@ -380,6 +381,37 @@ class TestPooledMLSS:
                 PooledForestRunner(pool, small_chain_query,
                                    small_chain_partition, 3, "vectorized",
                                    seed=0, **kwargs)
+
+
+class TestTaskSizes:
+    """Pooled SRS task sizes are checked before any work is cut."""
+
+    @pytest.mark.parametrize("kwargs", [{"roots_per_task": -1},
+                                        {"roots_per_task": 0},
+                                        {"tasks_per_round": -3},
+                                        {"tasks_per_round": 0}])
+    def test_srs_sampler_rejects_bad_task_sizes(self, kwargs):
+        # Rejected at construction: a pooled run with roots_per_task < 1
+        # would otherwise cut tasks forever.
+        with WorkerPool(n_workers=1, pool="inline") as pool:
+            with pytest.raises(ValueError, match="must be >= 1"):
+                SRSSampler(pool=pool, **kwargs)
+
+    @pytest.mark.parametrize("roots_per_task", [0, -2])
+    def test_cut_tasks_rejects_bad_task_size(self, monkeypatch,
+                                             roots_per_task):
+        calls = []
+
+        def bounded_seed(seed, index, salt="task"):
+            # Turns an endless task cut into a failure, not a hang.
+            calls.append(index)
+            if len(calls) > 100:
+                raise RuntimeError("cut_tasks did not terminate")
+            return index
+
+        monkeypatch.setattr(pool_module, "derive_task_seed", bounded_seed)
+        with pytest.raises(ValueError, match="roots_per_task must be >= 1"):
+            pool_module.cut_tasks(10, roots_per_task, seed=0, task_index=0)
 
 
 class TestStrictStepBudget:

@@ -393,6 +393,41 @@ class TestFusedBatch:
         assert all(e.details["cohort_size"] == 2 for e in results)
 
 
+class TestFleetBatchRoots:
+    """A non-positive batch size is rejected on every fused path, with
+    the message a single-query answer gives, never answered from zero
+    paths."""
+
+    @pytest.mark.parametrize("batch_roots", [0, -3])
+    def test_fused_srs_batch_rejects(self, batch_roots):
+        queries = TestFusedBatch().fleet_queries(n=3)
+        engine = DurabilityEngine(ExecutionPolicy(
+            method="srs", max_roots=1000,
+            sampler_options={"batch_roots": batch_roots}))
+        with pytest.raises(ValueError, match="batch_roots must be >= 1"):
+            engine.answer(queries[0])
+        with pytest.raises(ValueError, match="batch_roots must be >= 1"):
+            engine.answer_batch(queries)
+
+    @pytest.mark.parametrize("batch_roots", [0, -3])
+    def test_fused_curves_reject(self, batch_roots):
+        queries = TestDurabilityCurves.fleet_queries(n=3)
+        engine = DurabilityEngine(ExecutionPolicy(
+            method="srs", max_roots=1000,
+            sampler_options={"batch_roots": batch_roots}))
+        with pytest.raises(ValueError, match="batch_roots must be >= 1"):
+            engine.durability_curves(queries, [4.0, 8.0])
+
+    @pytest.mark.parametrize("batch_roots", [0, -3])
+    def test_fused_mlss_batch_rejects(self, batch_roots):
+        queries = TestFusedMlssFleet.rare_fleet()
+        engine = DurabilityEngine(ExecutionPolicy(
+            method="gmlss", num_levels=3, max_roots=1000,
+            sampler_options={"batch_roots": batch_roots}))
+        with pytest.raises(ValueError, match="batch_roots must be >= 1"):
+            engine.answer_batch(queries)
+
+
 class TestParallelExecution:
     """ExecutionPolicy.parallel drives the engine's persistent pool."""
 
