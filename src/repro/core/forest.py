@@ -395,8 +395,12 @@ class VectorizedForestRunner:
 
         Budgets are enforced at cohort granularity: every started tree
         runs to completion (truncating would bias the counters), so
-        ``max_steps`` can overshoot by at most one cohort.  Returns True
-        once a budget is exhausted.
+        ``max_steps`` can overshoot by at most one cohort.
+        Quality-stopped samplers ask for a whole stopping-check interval
+        as one cohort, clamped to what the remaining budget affords at
+        the measured cost per root, which keeps that overshoot near
+        their ``batch_roots`` (:class:`~repro.core.smlss.CheckSchedule`).
+        Returns True once a budget is exhausted.
         """
         cohort = batch_roots
         if max_roots is not None:

@@ -25,7 +25,6 @@ bootstrapping.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from typing import Optional, Sequence
@@ -37,7 +36,7 @@ from .estimates import DurabilityCurve, DurabilityEstimate, TracePoint
 from .levels import LevelPartition, normalize_ratios
 from .quality import QualityTarget
 from .records import ForestAggregate
-from .smlss import close_runner, make_forest_runner
+from .smlss import CheckSchedule, close_runner, make_forest_runner
 from .srs import prepare_curve_grid
 from .value_functions import DurabilityQuery
 
@@ -226,7 +225,10 @@ class GMLSSSampler:
         Fixed splitting ratio or per-level ratios (g-MLSS supports a
         dynamic ratio, Section 4.1).
     batch_roots:
-        Root trees between budget checks.
+        Root trees per cohort of a budget-only run, and the cohort
+        floor of a quality-stopped run, which simulates the whole
+        stretch up to its next stopping check as one cohort (see
+        :class:`~repro.core.smlss.CheckSchedule`).
     bootstrap_rounds:
         Bootstrap resamples per variance evaluation (paper's ``N``).
     first_check_roots / check_growth:
@@ -299,7 +301,8 @@ class GMLSSSampler:
         trace = []
         bootstrap_seconds = 0.0
         bootstrap_evals = 0
-        next_check = self.first_check_roots
+        schedule = CheckSchedule(self.first_check_roots, self.check_growth,
+                                 self.batch_roots, quality, query.horizon)
         variance = 0.0
         variance_fresh = False
         started = time.perf_counter()
@@ -318,16 +321,16 @@ class GMLSSSampler:
             done = False
             while not done:
                 roots_before = aggregate.n_roots
-                done = runner.accumulate(aggregate, self.batch_roots,
-                                         max_steps=max_steps,
-                                         max_roots=max_roots)
+                done = runner.accumulate(
+                    aggregate, schedule.cohort(aggregate, max_steps),
+                    max_steps=max_steps, max_roots=max_roots)
                 if aggregate.n_roots > roots_before:
                     variance_fresh = False
                 if aggregate.n_roots == 0:
                     break
                 if done:
                     break
-                if quality is not None and aggregate.n_roots >= next_check:
+                if schedule.due(aggregate.n_roots):
                     probability = gmlss_point_estimate(aggregate,
                                                        self.ratios)
                     variance = evaluate_bootstrap()
@@ -342,9 +345,7 @@ class GMLSSSampler:
                     if quality.is_met(probability, variance,
                                       aggregate.hits, aggregate.n_roots):
                         break
-                    next_check = max(
-                        next_check + 1,
-                        math.ceil(next_check * self.check_growth))
+                    schedule.advance(aggregate.n_roots)
         finally:
             close_runner(runner)
 
@@ -408,7 +409,8 @@ class GMLSSSampler:
         runner = self._make_runner(query, seed, scalar_rng=rng)
         aggregate = ForestAggregate(self.partition.num_levels)
         bootstrap_evals = 0
-        next_check = self.first_check_roots
+        schedule = CheckSchedule(self.first_check_roots, self.check_growth,
+                                 self.batch_roots, quality, query.horizon)
         variances = None
         variances_fresh = False
         started = time.perf_counter()
@@ -425,14 +427,14 @@ class GMLSSSampler:
             done = False
             while not done:
                 roots_before = aggregate.n_roots
-                done = runner.accumulate(aggregate, self.batch_roots,
-                                         max_steps=max_steps,
-                                         max_roots=max_roots)
+                done = runner.accumulate(
+                    aggregate, schedule.cohort(aggregate, max_steps),
+                    max_steps=max_steps, max_roots=max_roots)
                 if aggregate.n_roots > roots_before:
                     variances_fresh = False
                 if aggregate.n_roots == 0 or done:
                     break
-                if quality is not None and aggregate.n_roots >= next_check:
+                if schedule.due(aggregate.n_roots):
                     prefixes = gmlss_prefix_estimates(aggregate,
                                                       self.ratios)
                     variances = evaluate_bootstrap()
@@ -442,9 +444,7 @@ class GMLSSSampler:
                                           aggregate.n_roots)
                            for i in range(len(levels))):
                         break
-                    next_check = max(
-                        next_check + 1,
-                        math.ceil(next_check * self.check_growth))
+                    schedule.advance(aggregate.n_roots)
         finally:
             close_runner(runner)
 

@@ -82,6 +82,58 @@ def close_runner(runner) -> None:
         close()
 
 
+class CheckSchedule:
+    """When a forest sampler checks its stopping rule, and the cohort
+    it simulates before the next check.
+
+    Checks fall when ``n_roots`` first reaches ``first_check`` and then
+    each time it grows by ``growth``, counted from the root count
+    actually checked.  No decision is made between checks, so a
+    quality-stopped run simulates the whole stretch up to the next
+    check as one cohort, floored at ``batch_roots``.  Under
+    ``max_steps`` the cohort is clamped to ``max(batch_roots,
+    floor(remaining steps / steps per root))``, so a run overshoots its
+    budget by about one ``batch_roots`` cohort.  The cost per root is
+    the measured mean, or ``2 * horizon`` steps before any root has run
+    (the projection :class:`~repro.core.pool.PooledForestRunner` makes).
+    Runs without a quality target never check and keep ``batch_roots``
+    cohorts.
+    """
+
+    def __init__(self, first_check: int, growth: float, batch_roots: int,
+                 quality: Optional[QualityTarget], horizon: int):
+        self.next_check = first_check
+        self.growth = growth
+        self.batch_roots = batch_roots
+        self.checked = quality is not None
+        self.horizon = horizon
+
+    def cohort(self, aggregate: ForestAggregate,
+               max_steps: Optional[int] = None) -> int:
+        """Roots to simulate before the next check."""
+        if not self.checked:
+            return self.batch_roots
+        roots = max(self.batch_roots, self.next_check - aggregate.n_roots)
+        if max_steps is not None:
+            if aggregate.n_roots:
+                cost = aggregate.steps / aggregate.n_roots
+            else:
+                cost = 2.0 * self.horizon
+            affordable = int((max_steps - aggregate.steps) / cost)
+            roots = min(roots, max(self.batch_roots, affordable))
+        return roots
+
+    def due(self, n_roots: int) -> bool:
+        """Whether the stopping rule is checked at ``n_roots`` roots."""
+        return self.checked and n_roots >= self.next_check
+
+    def advance(self, n_roots: int) -> None:
+        """Schedule the check after one made at ``n_roots`` roots."""
+        self.next_check = max(
+            self.next_check + 1,
+            math.ceil(max(self.next_check, n_roots) * self.growth))
+
+
 def ratio_product(ratios: tuple) -> int:
     """``prod_i r_i`` over the splittable levels (``r^(m-1)`` if fixed)."""
     return math.prod(ratios[1:])
@@ -163,8 +215,11 @@ class SMLSSSampler:
         Fixed splitting ratio ``r`` (paper default 3) or per-level
         ratios.
     batch_roots:
-        Root trees between stopping-rule checks (and the cohort size of
-        the vectorized backend).
+        Root trees between the stopping-rule checks of :meth:`run` (and
+        its cohort size).  In :meth:`run_curve` it is the cohort size of
+        a budget-only run and the cohort floor of a quality-stopped one,
+        which simulates the whole stretch up to its next check as one
+        cohort (see :class:`CheckSchedule`).
     record_trace:
         Record convergence snapshots in ``details["trace"]``.
     backend:
@@ -283,18 +338,19 @@ class SMLSSSampler:
             max_steps, max_roots)
         runner = self._make_runner(query, seed)
         aggregate = ForestAggregate(self.partition.num_levels)
-        next_check = max(2 * self.batch_roots, 100)
+        schedule = CheckSchedule(max(2 * self.batch_roots, 100), 1.5,
+                                 self.batch_roots, quality, query.horizon)
         started = time.perf_counter()
 
         try:
             done = False
             while not done:
-                done = runner.accumulate(aggregate, self.batch_roots,
-                                         max_steps=max_steps,
-                                         max_roots=max_roots)
+                done = runner.accumulate(
+                    aggregate, schedule.cohort(aggregate, max_steps),
+                    max_steps=max_steps, max_roots=max_roots)
                 if done or aggregate.n_roots == 0:
                     break
-                if quality is not None and aggregate.n_roots >= next_check:
+                if schedule.due(aggregate.n_roots):
                     prefixes = smlss_prefix_estimates(aggregate, self.ratios)
                     variances = smlss_prefix_variances(aggregate,
                                                        self.ratios)
@@ -303,8 +359,7 @@ class SMLSSSampler:
                                           aggregate.n_roots)
                            for i in range(len(levels))):
                         break
-                    next_check = max(next_check + 1,
-                                     math.ceil(next_check * 1.5))
+                    schedule.advance(aggregate.n_roots)
         finally:
             close_runner(runner)
 
