@@ -12,12 +12,6 @@ from experiments import convergence_trace, format_trace
 from repro.workloads import workload
 
 
-def final_relative_error(trace):
-    last = trace[-1]
-    return (last.variance ** 0.5 / last.probability
-            if last.probability > 0 else float("inf"))
-
-
 @pytest.mark.benchmark(group="fig8")
 def test_fig8a_queue_small_ci_convergence(benchmark):
     budget = step_cap(400_000)
@@ -27,16 +21,18 @@ def test_fig8a_queue_small_ci_convergence(benchmark):
         return (convergence_trace("queue-small", "srs", budget),
                 convergence_trace("queue-small", "smlss", budget))
 
-    srs_trace, mlss_trace = benchmark.pedantic(run, rounds=1, iterations=1)
+    (srs_trace, srs), (mlss_trace, mlss) = benchmark.pedantic(
+        run, rounds=1, iterations=1)
     lines = (["SRS:"] + format_trace(srs_trace, spec.expected_probability,
-                                     every=max(len(srs_trace) // 8, 1))
+                                     every=max(len(srs_trace) // 8, 1),
+                                     final=srs)
              + ["", "MLSS:"]
              + format_trace(mlss_trace, spec.expected_probability,
-                            every=max(len(mlss_trace) // 8, 1)))
+                            every=max(len(mlss_trace) // 8, 1),
+                            final=mlss))
     write_report("fig8a_queue_small", "Figure 8(1) — Queue Small, CI",
                  lines)
-    assert final_relative_error(mlss_trace) < final_relative_error(
-        srs_trace)
+    assert mlss.relative_error() < srs.relative_error()
     # Quality must improve monotonically-ish: compare first vs last.
     assert mlss_trace[-1].variance < mlss_trace[0].variance
 
@@ -51,15 +47,17 @@ def test_fig8b_cpp_tiny_re_convergence(benchmark):
                 convergence_trace("cpp-tiny", "smlss", budget,
                                   num_levels=5))
 
-    srs_trace, mlss_trace = benchmark.pedantic(run, rounds=1, iterations=1)
+    (srs_trace, srs), (mlss_trace, mlss) = benchmark.pedantic(
+        run, rounds=1, iterations=1)
     lines = (["SRS:"] + format_trace(srs_trace, spec.expected_probability,
-                                     every=max(len(srs_trace) // 8, 1))
+                                     every=max(len(srs_trace) // 8, 1),
+                                     final=srs)
              + ["", "MLSS:"]
              + format_trace(mlss_trace, spec.expected_probability,
-                            every=max(len(mlss_trace) // 8, 1)))
+                            every=max(len(mlss_trace) // 8, 1),
+                            final=mlss))
     write_report("fig8b_cpp_tiny", "Figure 8(2) — CPP Tiny, RE", lines)
-    assert final_relative_error(mlss_trace) < final_relative_error(
-        srs_trace)
+    assert mlss.relative_error() < srs.relative_error()
 
 
 @pytest.mark.benchmark(group="fig8")
@@ -73,14 +71,16 @@ def test_fig8c_rnn_tiny_re_convergence(benchmark):
                 convergence_trace("rnn-tiny", "smlss", budget,
                                   num_levels=5, rnn_cache=RNN_CACHE_DIR))
 
-    srs_trace, mlss_trace = benchmark.pedantic(run, rounds=1, iterations=1)
+    (srs_trace, srs), (mlss_trace, mlss) = benchmark.pedantic(
+        run, rounds=1, iterations=1)
     lines = (["SRS:"] + format_trace(srs_trace, spec.expected_probability,
-                                     every=max(len(srs_trace) // 6, 1))
+                                     every=max(len(srs_trace) // 6, 1),
+                                     final=srs)
              + ["", "MLSS:"]
              + format_trace(mlss_trace, spec.expected_probability,
-                            every=max(len(mlss_trace) // 6, 1)))
+                            every=max(len(mlss_trace) // 6, 1),
+                            final=mlss))
     write_report("fig8c_rnn_tiny", "Figure 8(3) — RNN Tiny, RE", lines)
     # At this budget SRS has few hits on a ~0.6 % event; MLSS must be
     # strictly tighter.
-    assert final_relative_error(mlss_trace) < final_relative_error(
-        srs_trace)
+    assert mlss.relative_error() < srs.relative_error()

@@ -164,7 +164,13 @@ def format_efficiency_rows(rows) -> list:
 
 def convergence_trace(key: str, method: str, budget: int,
                       num_levels: int = 4, seed: int = 3,
-                      rnn_cache=None) -> list:
+                      rnn_cache=None) -> tuple:
+    """``(trace, final estimate)`` of one budget-only run.
+
+    The trace holds the per-batch snapshots; it is empty when the first
+    batch already spends the budget, so the final answer is returned
+    alongside it.
+    """
     spec = workload(key)
     query = spec.make_query(rnn_cache_dir=rnn_cache)
     if method == "srs":
@@ -174,18 +180,23 @@ def convergence_trace(key: str, method: str, budget: int,
         sampler = SMLSSSampler(partition, ratio=3, batch_roots=50,
                                record_trace=True)
     estimate = sampler.run(query, max_steps=budget, seed=seed)
-    return estimate.details["trace"]
+    return estimate.details["trace"], estimate
 
 
-def format_trace(trace, expected: float, every: int = 1) -> list:
+def format_trace(trace, expected: float, every: int = 1,
+                 final=None) -> list:
+    """Rows of every ``every``-th trace point, then the ``final``
+    estimate when given (a short run may have an empty trace)."""
     lines = [f"{'steps':>10s} {'estimate':>10s} {'RE':>8s} "
              f"{'CI half':>9s}"]
-    for point in trace[::every]:
+    for point in trace[::every] + ([final] if final is not None else []):
         re = (point.variance ** 0.5 / point.probability
               if point.probability > 0 else float("inf"))
         half = 1.96 * point.variance ** 0.5
         lines.append(f"{point.steps:>10d} {point.probability:>10.5f} "
                      f"{re:>8.3f} {half:>9.5f}")
+    if final is not None:
+        lines[-1] += "  (final)"
     lines.append(f"(calibrated truth ~ {expected:.5f})")
     return lines
 

@@ -17,10 +17,12 @@ With per-level ratios ``sum mu(h) = crossings[i] / r_i``.
 
 The estimator is unbiased in general (Proposition 2).  Its variance has
 no closed form, so :class:`GMLSSSampler` estimates it by bootstrapping
-the per-root records (Section 4.2); the bootstrap is evaluated on a
-conservative geometric schedule, following the paper's rule of thumb
-that "sometimes overrunning the simulation a little" beats frequent
-bootstrapping.
+the per-root records (Section 4.2).  The paper bootstraps on a
+conservative geometric schedule, since "sometimes overrunning the
+simulation a little" beats frequent bootstrapping; here each failed
+check schedules the next at the root count the target projects from
+the bootstrap variance (:class:`~repro.core.smlss.CheckSchedule`),
+which overruns less and bootstraps less.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def gmlss_pi_hats(aggregate: ForestAggregate, ratios: tuple) -> list:
 
 
 class GMLSSSampler:
-    """Batched g-MLSS with bootstrap variance and conservative checks.
+    """Batched g-MLSS with bootstrap variance and projected checks.
 
     Parameters
     ----------
@@ -232,9 +234,10 @@ class GMLSSSampler:
     bootstrap_rounds:
         Bootstrap resamples per variance evaluation (paper's ``N``).
     first_check_roots / check_growth:
-        The stopping rule is evaluated when ``n_roots`` first reaches
-        ``first_check_roots`` and then every time it grows by
-        ``check_growth`` — the "conservative bootstrapping" policy.
+        The stopping rule is first evaluated when ``n_roots`` reaches
+        ``first_check_roots``; each failed check schedules the next at
+        the target's projection, or ``check_growth`` times further on
+        when the target makes none.
     record_trace:
         Record convergence snapshots (taken at bootstrap evaluations).
     backend:
@@ -284,6 +287,71 @@ class GMLSSSampler:
             roots_per_task=self.roots_per_task,
             tasks_per_round=self.tasks_per_round)
 
+    def _sample(self, query: DurabilityQuery, quality, max_steps,
+                max_roots, seed, estimate, bootstrap, trace=None):
+        """Grow one forest until its stopping rule or a budget ends it.
+
+        ``estimate(aggregate)`` and ``bootstrap(aggregate, seed)`` give
+        the answered levels' estimates and bootstrap variances.  Returns
+        the aggregate, the final estimates and variances (bootstrapped
+        again if roots were added after the last check), and the
+        bootstrap count and seconds.  ``trace`` collects the first
+        level at each check.
+        """
+        rng = random.Random(seed)
+        boot_seed = rng.randrange(2 ** 31)
+        runner = self._make_runner(query, seed, scalar_rng=rng)
+        aggregate = ForestAggregate(self.partition.num_levels)
+        schedule = CheckSchedule(self.first_check_roots, self.check_growth,
+                                 self.batch_roots, quality, query.horizon)
+        evals, seconds = 0, 0.0
+        variances, fresh = None, False
+        started = time.perf_counter()
+
+        def evaluate():
+            nonlocal evals, seconds
+            begun = time.perf_counter()
+            result = bootstrap(aggregate, boot_seed + evals)
+            seconds += time.perf_counter() - begun
+            evals += 1
+            return result
+
+        try:
+            done = False
+            while not done:
+                roots_before = aggregate.n_roots
+                done = runner.accumulate(
+                    aggregate, schedule.cohort(aggregate, max_steps),
+                    max_steps=max_steps, max_roots=max_roots)
+                if aggregate.n_roots > roots_before:
+                    fresh = False
+                if aggregate.n_roots == 0 or done:
+                    break
+                if schedule.due(aggregate.n_roots):
+                    estimates = estimate(aggregate)
+                    variances, fresh = evaluate(), True
+                    if trace is not None:
+                        trace.append(TracePoint(
+                            steps=aggregate.steps,
+                            elapsed_seconds=time.perf_counter() - started,
+                            probability=estimates[0], variance=variances[0],
+                            n_roots=aggregate.n_roots, hits=aggregate.hits,
+                        ))
+                    # A point answer is the curve's last level.
+                    hits = self._level_hits(aggregate)[-len(estimates):]
+                    if schedule.check(zip(estimates, variances, hits),
+                                      aggregate.n_roots):
+                        break
+        finally:
+            close_runner(runner)
+
+        estimates = estimate(aggregate)
+        if not fresh and aggregate.n_roots > 1:
+            variances = evaluate()
+        if variances is None:
+            variances = [0.0] * len(estimates)
+        return aggregate, estimates, variances, evals, seconds
+
     def run(self, query: DurabilityQuery,
             quality: Optional[QualityTarget] = None,
             max_steps: Optional[int] = None,
@@ -294,72 +362,24 @@ class GMLSSSampler:
                 "provide a quality target, max_steps or max_roots; "
                 "otherwise the sampler would never stop"
             )
-        rng = random.Random(seed)
-        boot_seed = rng.randrange(2 ** 31)
-        runner = self._make_runner(query, seed, scalar_rng=rng)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        trace = []
-        bootstrap_seconds = 0.0
-        bootstrap_evals = 0
-        schedule = CheckSchedule(self.first_check_roots, self.check_growth,
-                                 self.batch_roots, quality, query.horizon)
-        variance = 0.0
-        variance_fresh = False
+        trace = [] if self.record_trace else None
         started = time.perf_counter()
-
-        def evaluate_bootstrap() -> float:
-            nonlocal bootstrap_seconds, bootstrap_evals
-            boot_started = time.perf_counter()
-            result = bootstrap_variance(
-                aggregate, self.ratios, n_boot=self.bootstrap_rounds,
-                seed=boot_seed + bootstrap_evals)
-            bootstrap_seconds += time.perf_counter() - boot_started
-            bootstrap_evals += 1
-            return result.variance
-
-        try:
-            done = False
-            while not done:
-                roots_before = aggregate.n_roots
-                done = runner.accumulate(
-                    aggregate, schedule.cohort(aggregate, max_steps),
-                    max_steps=max_steps, max_roots=max_roots)
-                if aggregate.n_roots > roots_before:
-                    variance_fresh = False
-                if aggregate.n_roots == 0:
-                    break
-                if done:
-                    break
-                if schedule.due(aggregate.n_roots):
-                    probability = gmlss_point_estimate(aggregate,
-                                                       self.ratios)
-                    variance = evaluate_bootstrap()
-                    variance_fresh = True
-                    if self.record_trace:
-                        trace.append(TracePoint(
-                            steps=aggregate.steps,
-                            elapsed_seconds=time.perf_counter() - started,
-                            probability=probability, variance=variance,
-                            n_roots=aggregate.n_roots, hits=aggregate.hits,
-                        ))
-                    if quality.is_met(probability, variance,
-                                      aggregate.hits, aggregate.n_roots):
-                        break
-                    schedule.advance(aggregate.n_roots)
-        finally:
-            close_runner(runner)
-
-        probability = gmlss_point_estimate(aggregate, self.ratios)
-        if not variance_fresh and aggregate.n_roots > 1:
-            variance = evaluate_bootstrap()
+        aggregate, (probability,), (variance,), evals, seconds = \
+            self._sample(
+                query, quality, max_steps, max_roots, seed,
+                lambda agg: [gmlss_point_estimate(agg, self.ratios)],
+                lambda agg, boot_seed: [bootstrap_variance(
+                    agg, self.ratios, n_boot=self.bootstrap_rounds,
+                    seed=boot_seed).variance],
+                trace)
         details = {
             "partition": self.partition,
             "ratios": self.ratios[1:],
             "landings": list(aggregate.landings),
             "skips": list(aggregate.skips),
             "pi_hats": gmlss_pi_hats(aggregate, self.ratios),
-            "bootstrap_seconds": bootstrap_seconds,
-            "bootstrap_evals": bootstrap_evals,
+            "bootstrap_seconds": seconds,
+            "bootstrap_evals": evals,
         }
         if self.record_trace:
             details["trace"] = trace
@@ -371,15 +391,14 @@ class GMLSSSampler:
             details=details,
         )
 
-    def _level_hits(self, aggregate: ForestAggregate, index: int) -> int:
-        """Observations backing the ``index``-th curve level.
+    def _level_hits(self, aggregate: ForestAggregate) -> list:
+        """Observations backing each curve level.
 
         Interior boundaries count the paths observed crossing them
         (landings plus skips); the last level counts target hits.
         """
-        if index == aggregate.num_levels - 1:
-            return aggregate.hits
-        return (aggregate.landings[index + 1] + aggregate.skips[index + 1])
+        return [aggregate.landings[i] + aggregate.skips[i]
+                for i in range(1, aggregate.num_levels)] + [aggregate.hits]
 
     def run_curve(self, query: DurabilityQuery,
                   thresholds: Optional[Sequence[float]] = None,
@@ -404,63 +423,22 @@ class GMLSSSampler:
         levels, thresholds = prepare_curve_grid(
             self.partition.boundaries + (1.0,), thresholds, quality,
             max_steps, max_roots)
-        rng = random.Random(seed)
-        boot_seed = rng.randrange(2 ** 31)
-        runner = self._make_runner(query, seed, scalar_rng=rng)
-        aggregate = ForestAggregate(self.partition.num_levels)
-        bootstrap_evals = 0
-        schedule = CheckSchedule(self.first_check_roots, self.check_growth,
-                                 self.batch_roots, quality, query.horizon)
-        variances = None
-        variances_fresh = False
         started = time.perf_counter()
-
-        def evaluate_bootstrap():
-            nonlocal bootstrap_evals
-            result = bootstrap_curve_variances(
-                aggregate, self.ratios, n_boot=self.bootstrap_rounds,
-                seed=boot_seed + bootstrap_evals)
-            bootstrap_evals += 1
-            return result
-
-        try:
-            done = False
-            while not done:
-                roots_before = aggregate.n_roots
-                done = runner.accumulate(
-                    aggregate, schedule.cohort(aggregate, max_steps),
-                    max_steps=max_steps, max_roots=max_roots)
-                if aggregate.n_roots > roots_before:
-                    variances_fresh = False
-                if aggregate.n_roots == 0 or done:
-                    break
-                if schedule.due(aggregate.n_roots):
-                    prefixes = gmlss_prefix_estimates(aggregate,
-                                                      self.ratios)
-                    variances = evaluate_bootstrap()
-                    variances_fresh = True
-                    if all(quality.is_met(prefixes[i], variances[i],
-                                          self._level_hits(aggregate, i),
-                                          aggregate.n_roots)
-                           for i in range(len(levels))):
-                        break
-                    schedule.advance(aggregate.n_roots)
-        finally:
-            close_runner(runner)
-
-        prefixes = gmlss_prefix_estimates(aggregate, self.ratios)
-        if not variances_fresh and aggregate.n_roots > 1:
-            variances = evaluate_bootstrap()
-        if variances is None:
-            variances = [0.0] * len(levels)
+        aggregate, prefixes, variances, evals, _ = self._sample(
+            query, quality, max_steps, max_roots, seed,
+            lambda agg: gmlss_prefix_estimates(agg, self.ratios),
+            lambda agg, boot_seed: bootstrap_curve_variances(
+                agg, self.ratios, n_boot=self.bootstrap_rounds,
+                seed=boot_seed))
+        hits = self._level_hits(aggregate)
         elapsed = time.perf_counter() - started
         estimates = tuple(
             DurabilityEstimate(
                 probability=prefixes[i], variance=float(variances[i]),
                 n_roots=aggregate.n_roots,
-                hits=self._level_hits(aggregate, i),
-                steps=aggregate.steps, method=self.method_name,
-                elapsed_seconds=elapsed, details={"shared_pass": True},
+                hits=hits[i], steps=aggregate.steps,
+                method=self.method_name, elapsed_seconds=elapsed,
+                details={"shared_pass": True},
             )
             for i in range(len(levels)))
         return DurabilityCurve(
@@ -471,6 +449,6 @@ class GMLSSSampler:
                 "partition": self.partition,
                 "ratios": self.ratios[1:],
                 "level_reach": aggregate.level_reach_counts(),
-                "bootstrap_evals": bootstrap_evals,
+                "bootstrap_evals": evals,
             },
         )

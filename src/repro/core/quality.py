@@ -46,16 +46,18 @@ class QualityTarget(abc.ABC):
         A plug-in projection from the running estimate, used by
         adaptive cohort sizing (:func:`repro.core.fleet.screen_fleet`)
         to grow a member's next round toward its target instead of
-        crawling there in fixed batches.  Purely advisory: the stopping
+        crawling there in fixed batches, and by
+        :class:`~repro.core.smlss.CheckSchedule` to place a forest
+        sampler's next stopping check.  Purely advisory: the stopping
         decision is always :meth:`is_met` on the actual counters, so a
         bad projection costs rounds, never correctness.  The default —
         ``None`` — means "no projection" (callers fall back to
         geometric growth).
 
         ``variance`` is the *measured* variance of the running
-        estimator at ``n_roots`` roots, when the caller has one (the
-        fused MLSS fleet pass measures a bootstrap variance per
-        member).  Splitting estimators beat the binomial plug-in by
+        estimator at ``n_roots`` roots, when the caller has one (MLSS
+        samplers and the fused MLSS fleet pass measure one at each
+        check).  Splitting estimators beat the binomial plug-in by
         orders of magnitude, so with a usable ``variance`` the
         projection scales the measured value by ``1/n`` instead of
         assuming binomial sampling.

@@ -86,18 +86,23 @@ class CheckSchedule:
     """When a forest sampler checks its stopping rule, and the cohort
     it simulates before the next check.
 
-    Checks fall when ``n_roots`` first reaches ``first_check`` and then
-    each time it grows by ``growth``, counted from the root count
-    actually checked.  No decision is made between checks, so a
-    quality-stopped run simulates the whole stretch up to the next
-    check as one cohort, floored at ``batch_roots``.  Under
-    ``max_steps`` the cohort is clamped to ``max(batch_roots,
-    floor(remaining steps / steps per root))``, so a run overshoots its
-    budget by about one ``batch_roots`` cohort.  The cost per root is
-    the measured mean, or ``2 * horizon`` steps before any root has run
-    (the projection :class:`~repro.core.pool.PooledForestRunner` makes).
-    Runs without a quality target never check and keep ``batch_roots``
-    cohorts.
+    The first check falls at ``first_check`` roots.  A failed check at
+    ``n`` roots schedules the next at the target's projection from the
+    measured variance of its worst unmet level, clamped to
+    ``[ceil(1.1 n), 4 n]``; with no projection (a zero estimate, or a
+    target such as :class:`~repro.core.quality.NeverTarget`), at
+    ``growth * n``.  The paper's conservative geometric schedule
+    (Section 4.2) overruns the target to bootstrap less often; a
+    projected check overruns less *and* checks less.  No decision is
+    made between checks, so a quality-stopped run simulates the whole
+    stretch up to the next check as one cohort, floored at
+    ``batch_roots``.  Under ``max_steps`` the cohort is clamped to
+    ``max(batch_roots, floor(remaining steps / steps per root))``, so a
+    run overshoots its budget by about one ``batch_roots`` cohort.  The
+    cost per root is the measured mean, or ``2 * horizon`` steps before
+    any root has run (the projection
+    :class:`~repro.core.pool.PooledForestRunner` makes).  Runs without
+    a quality target never check and keep ``batch_roots`` cohorts.
     """
 
     def __init__(self, first_check: int, growth: float, batch_roots: int,
@@ -105,13 +110,13 @@ class CheckSchedule:
         self.next_check = first_check
         self.growth = growth
         self.batch_roots = batch_roots
-        self.checked = quality is not None
+        self.quality = quality
         self.horizon = horizon
 
     def cohort(self, aggregate: ForestAggregate,
                max_steps: Optional[int] = None) -> int:
         """Roots to simulate before the next check."""
-        if not self.checked:
+        if self.quality is None:
             return self.batch_roots
         roots = max(self.batch_roots, self.next_check - aggregate.n_roots)
         if max_steps is not None:
@@ -125,13 +130,30 @@ class CheckSchedule:
 
     def due(self, n_roots: int) -> bool:
         """Whether the stopping rule is checked at ``n_roots`` roots."""
-        return self.checked and n_roots >= self.next_check
+        return self.quality is not None and n_roots >= self.next_check
 
-    def advance(self, n_roots: int) -> None:
+    def check(self, levels, n_roots: int) -> bool:
+        """Whether the target holds at every ``(probability, variance,
+        hits)`` level at ``n_roots`` roots; if not, schedule the next
+        check from the unmet levels' projections."""
+        projections = [
+            self.quality.projected_roots(p, hits, n_roots, variance=var)
+            for p, var, hits in levels
+            if not self.quality.is_met(p, var, hits, n_roots)]
+        if not projections:
+            return True
+        self.advance(n_roots, None if None in projections
+                     else max(projections))
+        return False
+
+    def advance(self, n_roots: int, projected: Optional[int] = None) -> None:
         """Schedule the check after one made at ``n_roots`` roots."""
-        self.next_check = max(
-            self.next_check + 1,
-            math.ceil(max(self.next_check, n_roots) * self.growth))
+        if projected is None:
+            projected = math.ceil(max(self.next_check, n_roots) * self.growth)
+        else:
+            projected = min(max(projected, -(-11 * n_roots // 10)),
+                            4 * n_roots)
+        self.next_check = max(self.next_check + 1, projected)
 
 
 def ratio_product(ratios: tuple) -> int:
@@ -328,10 +350,10 @@ class SMLSSSampler:
         counters level by level (:func:`smlss_prefix_estimates`), valid
         under the same no-level-skipping assumption as the point
         estimate.  ``quality`` must hold at every level; it is
-        evaluated on a geometric root-count schedule (the per-level
-        variances read the whole per-root history, so checking every
-        batch would cost quadratic time).  Budgets behave as in
-        :meth:`run`.
+        evaluated on a :class:`CheckSchedule` that projects each next
+        check from the worst unmet level (the per-level variances read
+        the whole per-root history, so checking every batch would cost
+        quadratic time).  Budgets behave as in :meth:`run`.
         """
         levels, thresholds = prepare_curve_grid(
             self.partition.boundaries + (1.0,), thresholds, quality,
@@ -354,23 +376,22 @@ class SMLSSSampler:
                     prefixes = smlss_prefix_estimates(aggregate, self.ratios)
                     variances = smlss_prefix_variances(aggregate,
                                                        self.ratios)
-                    if all(quality.is_met(prefixes[i], variances[i],
-                                          self._level_hits(aggregate, i),
-                                          aggregate.n_roots)
-                           for i in range(len(levels))):
+                    if schedule.check(
+                            zip(prefixes, variances,
+                                self._level_hits(aggregate)),
+                            aggregate.n_roots):
                         break
-                    schedule.advance(aggregate.n_roots)
         finally:
             close_runner(runner)
 
         prefixes = smlss_prefix_estimates(aggregate, self.ratios)
         variances = smlss_prefix_variances(aggregate, self.ratios)
+        hits = self._level_hits(aggregate)
         elapsed = time.perf_counter() - started
         estimates = tuple(
             DurabilityEstimate(
                 probability=prefixes[i], variance=variances[i],
-                n_roots=aggregate.n_roots,
-                hits=self._level_hits(aggregate, i),
+                n_roots=aggregate.n_roots, hits=hits[i],
                 steps=aggregate.steps, method=self.method_name,
                 elapsed_seconds=elapsed, details={"shared_pass": True},
             )
@@ -387,8 +408,6 @@ class SMLSSSampler:
             },
         )
 
-    def _level_hits(self, aggregate: ForestAggregate, index: int) -> int:
-        """Observations backing the ``index``-th curve level."""
-        if index == aggregate.num_levels - 1:
-            return aggregate.hits
-        return aggregate.landings[index + 1]
+    def _level_hits(self, aggregate: ForestAggregate) -> list:
+        """Observations backing each curve level."""
+        return list(aggregate.landings[1:]) + [aggregate.hits]

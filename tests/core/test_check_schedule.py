@@ -1,10 +1,13 @@
 """Cohort sizing of quality-stopped forest runs.
 
-A quality-stopped MLSS run checks its stopping rule on a geometric
-root-count schedule and simulates the whole stretch up to the next
-check as one cohort (:class:`~repro.core.smlss.CheckSchedule`).  A spy
-runner records every ``accumulate`` call, so these tests see the
-cohorts each sampler loop asks for.
+A quality-stopped MLSS run checks its stopping rule first at
+``first_check_roots``, then at the root count its target projects from
+the measured variance (clamped to ``[ceil(1.1 n), 4 n]``), or — with no
+projection — ``growth`` times further on.  It simulates the whole
+stretch up to the next check as one cohort
+(:class:`~repro.core.smlss.CheckSchedule`).  A spy runner records every
+``accumulate`` call, and a spy target every level it was asked about,
+so these tests see the cohorts each sampler loop asks for and why.
 """
 
 import math
@@ -16,7 +19,7 @@ import pytest
 from repro.core.gmlss import GMLSSSampler
 from repro.core.levels import LevelPartition
 from repro.core.pool import WorkerPool
-from repro.core.quality import NeverTarget
+from repro.core.quality import NeverTarget, RelativeErrorTarget
 from repro.core.records import ForestAggregate
 from repro.core.smlss import CheckSchedule, SMLSSSampler, close_runner
 from repro.core.value_functions import DurabilityQuery
@@ -31,6 +34,12 @@ PARTITION = LevelPartition([4 / 12, 8 / 12])
 
 #: ``first_check_roots = 200`` grown by 1.5 from each checked count.
 SCHEDULE = [200, 300, 450, 675, 1013, 1520, 2280, 3420, 5130]
+
+
+def projected_check(projection, n_roots):
+    """``clamp(projection, ceil(1.1 n), 4 n)``."""
+    return min(max(projection, math.ceil(n_roots * 11 / 10)),
+               4 * n_roots)
 
 
 def chain_query():
@@ -210,3 +219,148 @@ class TestCheckSchedule:
         schedule = CheckSchedule(1, 1.01, 1, NeverTarget(), 50)
         schedule.advance(1)
         assert schedule.next_check == 2
+
+    def test_a_met_check_stops_without_rescheduling(self):
+        schedule = CheckSchedule(200, 1.5, 100,
+                                 RelativeErrorTarget(0.1, min_hits=1), 50)
+        assert schedule.check([(0.1, 1e-6, 50)], 200)
+        assert schedule.next_check == 200
+
+    @pytest.mark.parametrize("variance,expected", [
+        (2e-4, 400),       # projects 400 roots: inside the clamp
+        (1.05e-4, 220),    # projects 210: floored at ceil(1.1 * 200)
+        (1e-3, 800),       # projects 2,000: capped at 4 * 200
+    ])
+    def test_a_failed_check_jumps_to_the_clamped_projection(
+            self, variance, expected):
+        target = RelativeErrorTarget(0.1, min_hits=1, min_roots=1)
+        schedule = CheckSchedule(200, 1.5, 100, target, 50)
+        assert not schedule.check([(0.1, variance, 50)], 200)
+        assert schedule.next_check == expected
+
+    def test_a_curve_projects_from_its_worst_unmet_level(self):
+        target = RelativeErrorTarget(0.1, min_hits=1, min_roots=1)
+        schedule = CheckSchedule(200, 1.5, 100, target, 50)
+        levels = [(0.5, 1e-6, 100),    # met: its projection is ignored
+                  (0.1, 2e-4, 50),     # projects 400
+                  (0.1, 3e-4, 50)]     # projects 600: the worst
+        assert not schedule.check(levels, 200)
+        assert schedule.next_check == 600
+
+    @pytest.mark.parametrize("levels", [
+        [(0.0, 0.0, 0)],                     # a zero estimate
+        [(0.1, 3e-4, 50), (0.0, 0.0, 0)],    # one unmet level without one
+    ])
+    def test_no_projection_keeps_the_growth_step(self, levels):
+        target = RelativeErrorTarget(0.1, min_hits=1, min_roots=1)
+        schedule = CheckSchedule(200, 1.5, 100, target, 50)
+        assert not schedule.check(levels, 200)
+        assert schedule.next_check == 300
+
+
+class SpyTarget(RelativeErrorTarget):
+    """Records every level checked as ``(n_roots, probability,
+    variance, hits)``; behaves exactly like its parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "seen", [])
+
+    def is_met(self, probability, variance, hits, n_roots):
+        self.seen.append((n_roots, probability, variance, hits))
+        return super().is_met(probability, variance, hits, n_roots)
+
+
+class NoProjectionTarget(RelativeErrorTarget):
+    def projected_roots(self, probability, hits, n_roots, variance=None):
+        return None
+
+
+def expected_next_checks(target):
+    """The check each failed one schedules, recomputed from the levels
+    the target saw: ``{n: clamp(worst projection, ceil(1.1 n), 4 n)}``."""
+    by_roots = {}
+    for n_roots, probability, variance, hits in target.seen:
+        by_roots.setdefault(n_roots, []).append((probability, variance,
+                                                 hits))
+    expected = {}
+    for n_roots, levels in by_roots.items():
+        projections = [
+            RelativeErrorTarget.projected_roots(target, p, h, n_roots,
+                                                variance=v)
+            for p, v, h in levels
+            if not RelativeErrorTarget.is_met(target, p, v, h, n_roots)]
+        if projections:
+            assert None not in projections
+            expected[n_roots] = projected_check(max(projections), n_roots)
+    return expected
+
+
+@pytest.mark.parametrize("method,kind", LOOPS)
+def test_failed_checks_schedule_the_clamped_projection(method, kind):
+    sampler = SAMPLERS[method](backend="vectorized")
+    target = SpyTarget(target=0.03)
+    _, calls = answer(sampler, kind, quality=target, max_roots=60_000)
+    expected = expected_next_checks(target)
+    ends = [call.roots_after for call in calls]
+    assert ends[0] == 200
+    # Every failed check but the budget-cut last one is followed by a
+    # cohort ending at the check the projection scheduled.
+    for before, after in zip(ends, ends[1:]):
+        assert after == min(expected[before], 60_000)
+    # The projection, not only the clamp, placed some check.
+    assert any(4 * n > expected[n] > math.ceil(1.1 * n) for n in expected)
+
+
+@pytest.mark.parametrize("method,kind", LOOPS)
+def test_without_a_projection_checks_grow_by_the_growth_step(method, kind):
+    sampler = SAMPLERS[method](backend="vectorized")
+    _, calls = answer(sampler, kind,
+                      quality=NoProjectionTarget(target=0.001),
+                      max_roots=5_000)
+    assert [call.roots_after for call in calls] == SCHEDULE[:-1] + [5_000]
+
+
+@pytest.mark.parametrize("method,kind", LOOPS)
+def test_step_budget_clamps_cohorts_when_checks_jump_fourfold(method, kind):
+    sampler = SAMPLERS[method](backend="vectorized")
+    # Never met, and projected far beyond 4 n: every check jumps 4x.
+    result, calls = answer(sampler, kind,
+                           quality=RelativeErrorTarget(target=0.001),
+                           max_steps=150_000)
+    for call in calls:
+        cost = (call.steps_before / call.roots_before if call.roots_before
+                else 2 * 60)
+        affordable = math.floor((call.max_steps - call.steps_before) / cost)
+        assert call.cohort <= max(sampler.batch_roots, affordable)
+    # The second check jumped to 4 * 200 roots; the next 4x jump, to
+    # 3,200, did not fit the budget, so the clamp sized that cohort.
+    assert [call.roots_after for call in calls[:2]] == [200, 800]
+    assert 800 < calls[2].roots_after < 3_200
+    assert result.steps >= 150_000
+
+
+@pytest.mark.parametrize("method,kind", LOOPS)
+def test_projected_checks_are_worker_count_invariant(method, kind):
+    def run(pool):
+        sampler = SAMPLERS[method](backend="vectorized", pool=pool,
+                                   roots_per_task=64, tasks_per_round=2)
+        result, calls = answer(sampler, kind,
+                               quality=RelativeErrorTarget(target=0.06),
+                               max_roots=20_000)
+        if kind == "point":
+            answer_bytes = (result.probability, result.variance,
+                            result.n_roots, result.hits, result.steps)
+        else:
+            answer_bytes = (result.n_roots, result.steps, [
+                (e.probability, e.variance, e.hits)
+                for e in result.estimates])
+        return answer_bytes, [call.roots_after for call in calls]
+
+    with WorkerPool(n_workers=1, pool="inline") as pool:
+        inline = run(pool)
+    with WorkerPool(n_workers=2, pool="thread") as pool:
+        threaded = run(pool)
+    assert repr(inline) == repr(threaded)
+    # The run stopped on its target, after at least one projected jump.
+    assert inline[1][-1] < 20_000 and len(inline[1]) >= 2

@@ -16,8 +16,9 @@ Two groups:
 * **Quality-stopped answers** follow the check schedule: their cohorts,
   and so their random streams, are sized by
   :class:`~repro.core.smlss.CheckSchedule`.  They were recorded with
-  one cohort per check interval, so the next change to how those runs
-  draw is visible here.
+  one cohort per check interval and checks scheduled at the target's
+  variance projection, so the next change to how those runs draw is
+  visible here.
 
 Pooled answers do not depend on the pool mode or worker count, so one
 inline pool stands in for all of them.
@@ -258,128 +259,129 @@ PINNED_BUDGET = {
         ('8cbad919018e41ff', 293, 29252, '334ad0b0bddc98c9'),
 }
 
-#: Recorded with one cohort per stopping-check interval.
+#: Recorded with one cohort per stopping-check interval, each check
+#: scheduled at the target's variance projection.
 PINNED_QUALITY = {
     ('walk', 'scalar', 'none', 'point', 'quality'):
-        (0.06864197530864198, 2.6423072363630202e-05,
-         675, 417, 68435, 'ef73f986e27421b6'),
+        (0.06829765545361877, 2.874544999225863e-05,
+         545, 335, 55145, '19144a4c070f5b8f'),
     ('walk', 'scalar', 'none', 'point', 'quality_steps'):
-        (0.0676409968146899, 2.6674991992752033e-05,
-         593, 361, 60045, '25c2a836898f0ef2'),
+        (0.0676409968146899, 2.7707194101975074e-05,
+         593, 361, 60045, '6fb6d1f48687c610'),
     ('walk', 'scalar', 'none', 'curve', 'quality'):
-        ('1d750520d75ba6ff', 675, 68435, 'c967badf29f5f8b3'),
+        ('09faf71c4f7ad070', 545, 55145, 'a386092c0ff31ea8'),
     ('walk', 'scalar', 'none', 'curve', 'quality_steps'):
-        ('d4ed19e2f320a7f7', 593, 60045, '6d11c80fe09c6bed'),
+        ('e81611363eb9b13d', 593, 60045, 'e743c33e8ff8d66e'),
     ('walk', 'scalar', 'inline', 'point', 'quality'):
-        (0.06797651309846431, 2.5547746938061073e-05,
-         492, 301, 48697, 'd6faf23b327680ed'),
+        (0.07490382439465942, 2.9849553408129152e-05,
+         491, 331, 49835, 'ee340d915ac98683'),
     ('walk', 'scalar', 'inline', 'point', 'quality_steps'):
-        (0.06811836962590732, 2.293237180796137e-05,
-         597, 366, 59374, '08c75de14054826b'),
+        (0.0704331450094162, 2.836817059806144e-05,
+         590, 374, 59394, '90a04f45a0a4a82c'),
     ('walk', 'scalar', 'inline', 'curve', 'quality'):
-        ('4e2c78f1ea134b5d', 492, 48697, '9cf1a2e4b6050281'),
+        ('921f266f58813c6f', 491, 49835, '9659f0d0fced8203'),
     ('walk', 'scalar', 'inline', 'curve', 'quality_steps'):
-        ('20a9165032e09a45', 597, 59374, '103dac2e2c868c59'),
+        ('29b2879123f75842', 590, 59394, 'a43c9c0857be9f69'),
     ('walk', 'vectorized', 'none', 'point', 'quality'):
-        (0.07925925925925925, 3.522103185490017e-05,
-         450, 321, 49131, 'fce9d5b5aaf8dce5'),
+        (0.07478223921818568, 3.109525502723908e-05,
+         523, 352, 54148, '3161f3ce324369be'),
     ('walk', 'vectorized', 'none', 'point', 'quality_steps'):
-        (0.07846153846153847, 2.595776462853386e-05,
-         650, 459, 69845, '53243cc32e1f4da9'),
+        (0.07486209613869188, 2.9057707208197426e-05,
+         564, 380, 60598, 'f0b4726874646797'),
     ('walk', 'vectorized', 'none', 'curve', 'quality'):
-        ('6f069e3423c765e2', 450, 49131, '739195cd52d2bbe5'),
+        ('cc6bab3408467fd0', 523, 54148, '4881fb7a96415fe0'),
     ('walk', 'vectorized', 'none', 'curve', 'quality_steps'):
-        ('2a741970504cba47', 650, 69845, '170e72a6cfa3d2c4'),
+        ('b6f2f41a03a6b165', 564, 60598, '6e3c9e9d5211ceeb'),
     ('walk', 'vectorized', 'inline', 'point', 'quality'):
-        (0.07678410117434506, 2.6689195909009685e-05,
-         492, 340, 52350, 'eee83191bea53259'),
+        (0.07631121053939846, 3.707225431150947e-05,
+         447, 307, 46551, 'a06baa8a2568eeff'),
     ('walk', 'vectorized', 'inline', 'point', 'quality_steps'):
-        (0.07239903219802718, 3.094155005507786e-05,
-         597, 389, 59417, '8511d5a67b6761c0'),
+        (0.07048785012057132, 2.9241731919144565e-05,
+         599, 380, 59490, 'ffc23e4930785c37'),
     ('walk', 'vectorized', 'inline', 'curve', 'quality'):
-        ('f2c512a9d9d7c2f4', 492, 52350, 'b407fbd33a704e19'),
+        ('6f0b87e67c92b27c', 447, 46551, '60b8abe798810006'),
     ('walk', 'vectorized', 'inline', 'curve', 'quality_steps'):
-        ('c1f108ec443944cc', 597, 59417, 'ed76dc6111d9592c'),
+        ('9feef7343fe01067', 599, 59490, '0770823c9c61d199'),
     ('chain', 'scalar', 'none', 'point', 'quality'):
-        (0.010867446393762184, 6.224146841003308e-07,
-         2280, 223, 254156, 'fc7297308460eb56'),
+        (0.010904804008252285, 6.00557612797146e-07,
+         2262, 222, 251889, '5c973ec0dfe73054'),
     ('chain', 'scalar', 'none', 'point', 'quality_steps'):
-        (0.008880627839735648, 2.598885415221794e-06,
-         538, 43, 60078, '780083bac648a09d'),
+        (0.008880627839735648, 2.584647816051243e-06,
+         538, 43, 60078, '6a201d6f02b9c749'),
     ('chain', 'scalar', 'none', 'curve', 'quality'):
-        ('96054c8bf76a5ea5', 2280, 254156, '9d43849b8ab0fdf6'),
+        ('0625469eea80d06e', 2262, 251889, '0f71938559f53a12'),
     ('chain', 'scalar', 'none', 'curve', 'quality_steps'):
-        ('f05c92b2f58b3f5e', 538, 60078, '4ba266c0c283b034'),
+        ('6a7b7a0928bafbbd', 538, 60078, '08f7a6e6d3959ab2'),
     ('chain', 'scalar', 'inline', 'point', 'quality'):
-        (0.009719992866060283, 5.309381972851142e-07,
-         2492, 218, 275546, 'f6cd4198ee34bbec'),
+        (0.00967727615749989, 5.335745046933011e-07,
+         2503, 218, 275669, 'ae61ed6ab7bc2996'),
     ('chain', 'scalar', 'inline', 'point', 'quality_steps'):
-        (0.011574074074074073, 3.102800415773901e-06,
-         528, 55, 59239, 'e09fd71ea4b67b6e'),
+        (0.010691823899371069, 2.9818440726237087e-06,
+         530, 51, 59367, 'a859f9ed404fd766'),
     ('chain', 'scalar', 'inline', 'curve', 'quality'):
-        ('efcd8a1b35f2f02f', 2492, 275546, '2af7c448c8ced917'),
+        ('47f81c111bf02da7', 2503, 275669, '096febae64417c31'),
     ('chain', 'scalar', 'inline', 'curve', 'quality_steps'):
-        ('2664b2830c5c6344', 528, 59239, '806e39cd5285919f'),
+        ('8360b5c2e7443b14', 530, 59367, '352903a42bb69721'),
     ('chain', 'vectorized', 'none', 'point', 'quality'):
-        (0.0101364522417154, 5.510240092868082e-07,
-         2280, 208, 252667, '7cb5e211b0a9f5d0'),
+        (0.010724852071005916, 6.560431787540723e-07,
+         2704, 261, 300371, 'e455c60478105320'),
     ('chain', 'vectorized', 'none', 'point', 'quality_steps'):
-        (0.007863247863247864, 1.9749696836876323e-06,
-         650, 46, 69827, 'a6e5e3660ddd0667'),
+        (0.007851169141491723, 2.104382003654697e-06,
+         651, 46, 70018, '0f1bca30f627c1e2'),
     ('chain', 'vectorized', 'none', 'curve', 'quality'):
-        ('d396db801bd8b512', 2280, 252667, '0b9a5fb09670ca28'),
+        ('e1d982bc7dab940a', 2704, 300371, '84b67759ce2ddb6e'),
     ('chain', 'vectorized', 'none', 'curve', 'quality_steps'):
-        ('f2bc8c3f07190bf1', 650, 69827, 'b6a5cd2cc26653ff'),
+        ('195dadc1b41ff705', 651, 70018, '5e6f1e82ead4a555'),
     ('chain', 'vectorized', 'inline', 'point', 'quality'):
-        (0.008828250401284108, 2.89169181200878e-07,
-         3738, 297, 406706, '4893b95a382cebc0'),
+        (0.008686210640608033, 4.690896778081818e-07,
+         2763, 216, 303035, '5c6c283b148a699f'),
     ('chain', 'vectorized', 'inline', 'point', 'quality_steps'):
-        (0.008261049153242462, 2.4087518325897195e-06,
-         538, 40, 59376, 'd1c2fee8a32e2e7b'),
+        (0.009987515605493132, 2.396434639458342e-06,
+         534, 48, 59334, 'c841c916239298a0'),
     ('chain', 'vectorized', 'inline', 'curve', 'quality'):
-        ('efd7018dc08a2273', 3738, 406706, '0dbc464d82bf7dcc'),
+        ('a4d25cf621cf5ec7', 2763, 303035, '9c15ee568aceca49'),
     ('chain', 'vectorized', 'inline', 'curve', 'quality_steps'):
-        ('22e01009caa5cd15', 538, 59376, '9257464fb0092743'),
+        ('f20870204a9dd916', 534, 59334, 'ea00012f7d5c6d26'),
     ('queue', 'scalar', 'none', 'point', 'quality'):
-        (0.039301579466929915, 6.997773697607314e-06,
-         1013, 631, 98313, 'e2315af6824731ef'),
+        (0.03930961070559611, 8.639097421788518e-06,
+         822, 514, 79651, '1c9ef2ae33c2cd76'),
     ('queue', 'scalar', 'none', 'point', 'quality_steps'):
-        (0.03771894904458599, 1.0987239108568679e-05,
-         628, 379, 60045, '95edb6030cf4df91'),
+        (0.03771894904458599, 1.1530509198759963e-05,
+         628, 379, 60045, '32e31f88b7da38e0'),
     ('queue', 'scalar', 'none', 'curve', 'quality'):
-        ('55cfadbaec79e6b5', 1013, 98313, 'fd37c20aee6618f0'),
+        ('2a6210d2a6f74869', 822, 79651, '56df5736a7aefc63'),
     ('queue', 'scalar', 'none', 'curve', 'quality_steps'):
-        ('5c7864932d1ff896', 628, 60045, 'b7523830a52754ae'),
+        ('943bd5407c76fba2', 628, 60045, '7657aa4f5bbd21f0'),
     ('queue', 'scalar', 'inline', 'point', 'quality'):
-        (0.038702574525745256, 8.905896091931154e-06,
-         738, 457, 70235, 'e5eacc72ee4b0b0f'),
+        (0.041640127388535036, 5.824112888707451e-06,
+         785, 523, 75480, '998f84ce352e44ff'),
     ('queue', 'scalar', 'inline', 'point', 'quality_steps'):
-        (0.03970826580226904, 1.006390689603259e-05,
-         617, 392, 59198, '5f177697fdc48a55'),
+        (0.039415322580645167, 1.1931825318271983e-05,
+         620, 391, 59259, 'f64b1d886250c4e4'),
     ('queue', 'scalar', 'inline', 'curve', 'quality'):
-        ('2140e4bca92d3a00', 738, 70235, '9225a66dd7cda2b4'),
+        ('0b091cc863926a32', 785, 75480, '40133a6fe395f0b1'),
     ('queue', 'scalar', 'inline', 'curve', 'quality_steps'):
-        ('d775d745c7341275', 617, 59198, '07b74ca19af58313'),
+        ('295c2e8d94e03bfc', 620, 59259, '30970ad2f219eac4'),
     ('queue', 'vectorized', 'none', 'point', 'quality'):
-        (0.03944444444444444, 8.84036351165981e-06,
-         675, 423, 65322, '6e53c6d6807da982'),
+        (0.043090201081575144, 1.0284627904422103e-05,
+         691, 469, 68102, '3fd0a14a3399c68e'),
     ('queue', 'vectorized', 'none', 'point', 'quality_steps'):
-        (0.03756830601092896, 8.210590137806446e-06,
-         732, 437, 68965, 'f9bea57f25853028'),
+        (0.04450354609929078, 8.558554453686936e-06,
+         705, 502, 69462, '13389234c2457924'),
     ('queue', 'vectorized', 'none', 'curve', 'quality'):
-        ('fa19143ec9e64326', 675, 65322, '8de460c0b6967707'),
+        ('1a5dd78ca2f3ade9', 691, 68102, '62c70ec5b06725f8'),
     ('queue', 'vectorized', 'none', 'curve', 'quality_steps'):
-        ('21f75b067bd7879b', 732, 68965, '48f68dd327106cf6'),
+        ('7f1ac0ce69224b71', 705, 69462, '4027870ebc63a051'),
     ('queue', 'vectorized', 'inline', 'point', 'quality'):
-        (0.042005420054200535, 7.800095107997151e-06,
-         738, 496, 72644, '8068e75ffaff93fb'),
+        (0.04181338028169015, 1.081671795185727e-05,
+         568, 380, 58178, '288a30d9a0628020'),
     ('queue', 'vectorized', 'inline', 'point', 'quality_steps'):
-        (0.0381121549743493, 9.930367243922043e-06,
-         623, 372, 59181, 'd30ada08b634e9ec'),
+        (0.04120640498013891, 1.1178432490093044e-05,
+         603, 395, 59319, '95209f5d9b9f7252'),
     ('queue', 'vectorized', 'inline', 'curve', 'quality'):
-        ('7ccee4179b8a1584', 738, 72644, 'b75a36d44545a052'),
+        ('695b524ca14f7205', 568, 58178, '7a33e5f8113092ee'),
     ('queue', 'vectorized', 'inline', 'curve', 'quality_steps'):
-        ('327a9a740af72465', 623, 59181, '5da5d59650adaec1'),
+        ('c6db24205b4b0d12', 603, 59319, '3cfa12e95a58ba0b'),
 }
 
 
